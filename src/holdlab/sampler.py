@@ -83,22 +83,26 @@ def _check_rows(state: np.ndarray, step: int) -> None:
 
 
 def _integrate(drift, times: np.ndarray, y0: np.ndarray, method: str):
-    """Backward-time integration over a descending grid; yields each state."""
+    """Backward-time integration over a descending grid.
+
+    ``drift(u, t)`` returns (du/dt, score at (u, t)).  Yields each state
+    with the score evaluated there as a step start (None at the endpoint).
+    """
     y = y0
-    yield y
     for k in range(len(times) - 1):
         t0, t1 = float(times[k]), float(times[k + 1])
         dt = t1 - t0
-        f0 = drift(y, t0)
+        f0, s0 = drift(y, t0)
+        yield y, s0
         if method == "euler":
             y = y + dt * f0
         elif method == "heun":
             pred = y + dt * f0
-            y = y + 0.5 * dt * (f0 + drift(pred, t1))
+            y = y + 0.5 * dt * (f0 + drift(pred, t1)[0])
         else:
             raise ValueError(f"unknown integrator {method!r}")
         _check_rows(y, k)
-        yield y
+    yield y, None
 
 
 def pf_ode_generate(
@@ -115,8 +119,8 @@ def pf_ode_generate(
     The diffusion square 1/2 G G^T reduces to xi * l_inv on the last block,
     so the score forcing touches only the final h coordinates.  The initial
     state is a stationary prior draw; with ``record`` the whole path and the
-    score evaluations at each step start are kept, otherwise only the
-    endpoint.
+    score evaluations the integrator made at each step start are kept,
+    otherwise only the endpoint.
     """
     n = params.order
     fmat = build_forward_matrix(params).entries
@@ -124,23 +128,21 @@ def pf_ode_generate(
 
     def drift(u, t):
         out = kron_apply(fmat, u, h)
-        out[..., -h:] -= gain * np.asarray(score_fn(u, t), dtype=float)
-        return out
+        s = np.asarray(score_fn(u, t), dtype=float)
+        out[..., -h:] -= gain * s
+        return out, s
 
     u0 = sample_prior(params, h, rng_seed).data
     times = grid.times()
-    states = []
-    for k, y in enumerate(_integrate(drift, times, u0, method)):
-        if record or k == len(times) - 1:
+    states, evals = [], []
+    for y, s in _integrate(drift, times, u0, method):
+        if record:
             states.append(LiftedState(n, h, y))
+            if s is not None:
+                evals.append(s)
     if record:
-        # Score evaluations at each accepted step start, for reconstruction.
-        evals = [
-            np.asarray(score_fn(st.data, float(t)), dtype=float)
-            for st, t in zip(states[:-1], times[:-1])
-        ]
         return Trajectory(times=times, states=states, score_evals=evals)
-    return Trajectory(times=times[-1:], states=states, score_evals=None)
+    return Trajectory(times=times[-1:], states=[LiftedState(n, h, y)], score_evals=None)
 
 
 def ou_pf_ode_generate(

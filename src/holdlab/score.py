@@ -4,9 +4,11 @@ The time-t distribution of a lifted point-mass dataset is an equal-weight
 Gaussian mixture: one component per training sample, all sharing the
 block-scalar covariance Sigma_t.  Its log-density gradient is available in
 closed form, which is the unconstrained minimizer of the denoising loss.
-Mixture weights are always computed in the log domain with the per-point
-maximum subtracted; raw densities underflow at exactly the separations
-where memorization happens.
+Points are whitened by the inverse block Cholesky factor and compared to
+whitened centers by direct differences (the expanded Gram form cancels at
+small t, where the whitened centers are huge).  Mixture weights are always
+computed in the log domain with the per-point maximum subtracted; raw
+densities underflow at exactly the separations where memorization happens.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ class EmpiricalMixture:
     t: float
     chol: np.ndarray
     chol_shift: float
+    chol_inv: np.ndarray
+    white_centers: np.ndarray
 
     @property
     def n_components(self) -> int:
@@ -101,6 +105,7 @@ def mixture_at(
     centers = kron_apply(e, lifted, h)
     cov = covariance_at(params, sigma0, t)
     factor, shift = cholesky_block(cov)
+    inv = np.linalg.inv(factor)
     return EmpiricalMixture(
         order=n,
         block_dim=h,
@@ -109,6 +114,8 @@ def mixture_at(
         t=t,
         chol=factor,
         chol_shift=shift,
+        chol_inv=inv,
+        white_centers=kron_apply(inv, centers, h),
     )
 
 
@@ -123,51 +130,46 @@ def _as_batch(mix: EmpiricalMixture, u) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-def _mahalanobis_sq_to_centers(mix: EmpiricalMixture, batch: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distance of each batch row to each center, (B, N)."""
-    n, h = mix.order, mix.block_dim
-    b, nc = batch.shape[0], mix.n_components
-    diffs = batch[:, None, :] - mix.centers[None, :, :]
-    y = np.linalg.solve(mix.chol, diffs.reshape(b * nc, n, h))
-    return (y * y).sum(axis=(1, 2)).reshape(b, nc)
+def _log_weights(mix: EmpiricalMixture, u):
+    """(y, lw, m, single): whitened batch, log-weights less row maxima m.
 
-
-def _log_weights(mix: EmpiricalMixture, batch: np.ndarray) -> np.ndarray:
-    lw = -0.5 * _mahalanobis_sq_to_centers(mix, batch)
-    return lw - lw.max(axis=1, keepdims=True)
+    lw[b, k] = -|y_b - c~_k|^2 / 2 - m_b over the whitened centers c~_k.
+    """
+    batch, single = _as_batch(mix, u)
+    y = kron_apply(mix.chol_inv, batch, mix.block_dim)
+    diffs = y[:, None, :] - mix.white_centers[None, :, :]
+    lw = -0.5 * np.einsum("bkj,bkj->bk", diffs, diffs)
+    m = lw.max(axis=1)
+    return y, lw - m[:, None], m, single
 
 
 def responsibilities(mix: EmpiricalMixture, u) -> np.ndarray:
     """Posterior component weights at u; rows sum to 1."""
-    batch, single = _as_batch(mix, u)
-    w = np.exp(_log_weights(mix, batch))
+    _, lw, _, single = _log_weights(mix, u)
+    w = np.exp(lw)
     w /= w.sum(axis=1, keepdims=True)
     return w[0] if single else w
 
 
 def log_density_shifted(mix: EmpiricalMixture, u) -> np.ndarray | float:
     """log p up to a u-independent constant (normalizer and 1/N dropped)."""
-    batch, single = _as_batch(mix, u)
-    lw = -0.5 * _mahalanobis_sq_to_centers(mix, batch)
-    m = lw.max(axis=1)
-    out = m + np.log(np.exp(lw - m[:, None]).sum(axis=1))
+    _, lw, m, single = _log_weights(mix, u)
+    out = m + np.log(np.exp(lw).sum(axis=1))
     return float(out[0]) if single else out
 
 
 def score_full(mix: EmpiricalMixture, u) -> np.ndarray:
     """Gradient of the mixture log-density at u.
 
-    Equals Sigma_t^{-1} (sum_k w_k c_k - u) with responsibilities w; the
-    inverse is applied through two triangular solves against the block
-    Cholesky factor, never formed.
+    Equals Sigma_t^{-1} (sum_k w_k c_k - u) with responsibilities w, taken
+    as (L^{-T} x I_h)(sum_k w_k c~_k - y) from the whitened point y and
+    whitened centers c~_k.
     """
-    n, h = mix.order, mix.block_dim
-    batch, single = _as_batch(mix, u)
-    w = np.exp(_log_weights(mix, batch))
+    y, lw, _, single = _log_weights(mix, u)
+    w = np.exp(lw)
     w /= w.sum(axis=1, keepdims=True)
-    resid = w @ mix.centers - batch
-    z = np.linalg.solve(mix.chol, resid.reshape(-1, n, h))
-    out = np.linalg.solve(mix.chol.T, z).reshape(batch.shape[0], n * h)
+    resid = w @ mix.white_centers - y
+    out = kron_apply(mix.chol_inv.T, resid, mix.block_dim)
     return out[0] if single else out
 
 
@@ -184,10 +186,21 @@ def empirical_score_fn(
     sigma0: BlockCovariance,
     policy: AuxPolicy,
 ):
-    """Callback (u, t) -> last-block score of the time-t empirical mixture."""
+    """Callback (u, t) -> last-block score of the time-t empirical mixture.
+
+    Keeps the mixtures of the last two times: a Heun step starts where the
+    previous one ended, so each grid time is built once.
+    """
+    memo: dict[float, EmpiricalMixture] = {}
 
     def fn(u, t):
-        return score_last_block(mixture_at(dataset, params, sigma0, policy, t), u)
+        mix = memo.get(t)
+        if mix is None:
+            mix = mixture_at(dataset, params, sigma0, policy, t)
+            if len(memo) == 2:
+                del memo[next(iter(memo))]
+            memo[t] = mix
+        return score_last_block(mix, u)
 
     return fn
 

@@ -120,6 +120,37 @@ class TestPfOdeGenerate:
         assert len(traj.score_evals) == 20
         assert np.all(np.diff(traj.times) < 0)
 
+    @pytest.mark.parametrize("method, per_step", [("heun", 2), ("euler", 1)])
+    def test_record_reuses_integrator_scores(self, method, per_step):
+        # The recorded scores are the step-start evaluations the integrator
+        # made, so recording costs no extra score calls.
+        params = critically_damped_params(3)
+        pol = FixedPerSample(seed=4)
+        ds = Dataset(np.array([[2.0, 0.0], [-2.0, 1.0], [0.0, -2.0]]))
+        base = empirical_score_fn(ds, params, initial_covariance(params, pol), pol)
+        calls = []
+
+        def fn(u, t):
+            calls.append(t)
+            return base(u, t)
+
+        grid = TimeGrid(steps=30)
+        plain = pf_ode_generate(params, fn, grid, rng_seed=6, h=2, method=method)
+        assert len(calls) == 30 * per_step
+        calls.clear()
+        traj = pf_ode_generate(
+            params, fn, grid, rng_seed=6, h=2, record=True, method=method
+        )
+        assert len(calls) == 30 * per_step
+        assert np.array_equal(traj.endpoint.data, plain.endpoint.data)
+        recomputed = [
+            np.asarray(base(st.data, float(t)), dtype=float)
+            for st, t in zip(traj.states[:-1], traj.times[:-1])
+        ]
+        assert len(traj.score_evals) == 30
+        for got, want in zip(traj.score_evals, recomputed):
+            assert np.array_equal(got, want)
+
     def test_divergence_guard(self):
         params = critically_damped_params(2)
 

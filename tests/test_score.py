@@ -1,6 +1,7 @@
 """Empirical-score tests: mixtures, responsibilities, gradients, loss."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,19 +13,25 @@ from holdlab import (
     LiftedState,
     Marginalized,
     T_EPS,
+    TimeGrid,
     covariance_at,
     critically_damped_params,
+    empirical_score_fn,
     initial_covariance,
+    kron_apply,
     loss_weight,
     matrix_exponential,
     build_forward_matrix,
     mc_loss,
     mixture_at,
     ou_score,
+    pf_ode_endpoints,
     responsibilities,
     score_full,
     score_last_block,
 )
+from holdlab import score as score_module
+from holdlab.datasets import GaussianMixtureSpec, training_points
 from holdlab.score import log_density_shifted
 
 
@@ -280,3 +287,124 @@ class TestResponsibilityCollapse:
         for j in range(4):
             w = responsibilities(mix, mix.centers[j])
             assert w[j] >= 0.999
+
+
+def reference_kernel(mix, batch):
+    """Per-pair solve kernel: (squared distances, weights, log p, score).
+
+    One triangular system per (point, center) pair against the block factor
+    gives the squared Mahalanobis distances; the score comes from a dense
+    (Sigma x I_h) solve, with Sigma the covariance the factor represents.
+    """
+    n, h = mix.order, mix.block_dim
+    diffs = batch[:, None, :] - mix.centers[None, :, :]
+    y = np.linalg.solve(mix.chol, diffs.reshape(-1, n, h))
+    sq = (y * y).sum(axis=(1, 2)).reshape(batch.shape[0], -1)
+    lw = -0.5 * sq
+    m = lw.max(axis=1)
+    e = np.exp(lw - m[:, None])
+    w = e / e.sum(axis=1, keepdims=True)
+    logp = m + np.log(e.sum(axis=1))
+    sigma = mix.cov.small + mix.chol_shift * np.eye(n)
+    dense = np.kron(sigma, np.eye(h))
+    score = np.linalg.solve(dense, (w @ mix.centers - batch).T).T
+    return sq, w, logp, score
+
+
+def forward_probes(mix, rng, count):
+    """Forward samples around random centers plus a few prior-scale draws."""
+    nh = mix.order * mix.block_dim
+    k = rng.integers(mix.n_components, size=count)
+    eps = rng.standard_normal((count, nh))
+    near = mix.centers[k] + kron_apply(mix.chol, eps, mix.block_dim)
+    return np.vstack([near, rng.standard_normal((8, nh))])
+
+
+class TestKernelOracle:
+    """The whitened kernel against the per-pair solve reference.
+
+    Bound: relative error at most max(1e-10, 1e-18 * cond(Sigma_t)), i.e.
+    1e-10 wherever Sigma_t is well conditioned (cond <= 1e8); past that
+    both kernels lose digits in proportion to the condition number.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("t", [1.0, 0.1, 1e-2])
+    @pytest.mark.parametrize("policy", [FixedPerSample(seed=3), Marginalized()])
+    def test_matches_per_pair_solve(self, n, t, policy):
+        params = ou_params() if n == 1 else critically_damped_params(n)
+        s0 = initial_covariance(params, policy)
+        rng = np.random.default_rng(17 * n)
+        for n_train in (1, 8, 256):
+            ds = Dataset(3.0 * rng.standard_normal((n_train, 2)))
+            mix = mixture_at(ds, params, s0, policy, t)
+            bound = max(1e-10, 1e-18 * np.linalg.cond(mix.cov.small))
+            u = forward_probes(mix, rng, 24)
+            _, w_ref, logp_ref, score_ref = reference_kernel(mix, u)
+            score = score_full(mix, u)
+            rel = np.linalg.norm(score - score_ref, axis=1) / np.linalg.norm(
+                score_ref, axis=1
+            )
+            assert rel.max() <= bound, (n_train, rel.max())
+            assert np.abs(responsibilities(mix, u) - w_ref).max() <= bound
+            logp = log_density_shifted(mix, u)
+            rel_logp = np.abs(logp - logp_ref) / np.maximum(1.0, np.abs(logp_ref))
+            assert rel_logp.max() <= bound, (n_train, rel_logp.max())
+
+    def test_nearest_center_distance_without_cancellation(self):
+        # Order 3 at t = 1e-3: the whitened centers have squared norms near
+        # 1e17, so an expanded |y|^2 + |c|^2 - 2 y.c form loses every digit
+        # (off by ~1e2 here).  Probes sit next to their own center with
+        # one-hot responsibilities, so -2 log p is the nearest-center
+        # squared Mahalanobis distance.
+        params = critically_damped_params(3)
+        pol = FixedPerSample(seed=7)
+        ds = Dataset(training_points(GaussianMixtureSpec(k=8, spread=6.0), 8, 7))
+        s0 = initial_covariance(params, pol)
+        mix = mixture_at(ds, params, s0, pol, 1e-3)
+        rng = np.random.default_rng(0)
+        u = mix.centers + kron_apply(mix.chol, rng.standard_normal((8, 6)), 2)
+        sq_ref, *_ = reference_kernel(mix, u)
+        nearest = sq_ref.min(axis=1)
+        assert np.all(nearest < 20.0)
+        assert np.array_equal(responsibilities(mix, u), np.eye(8))
+        assert np.abs(-2.0 * log_density_shifted(mix, u) - nearest).max() <= 1e-5
+
+
+class TestScoreMemo:
+    def _setup(self):
+        params = critically_damped_params(3)
+        pol = Marginalized()
+        ds = Dataset(np.random.default_rng(4).standard_normal((8, 2)) * 3.0)
+        return ds, params, initial_covariance(params, pol), pol
+
+    def test_interleaved_times_bit_identical(self):
+        ds, params, s0, pol = self._setup()
+        fn = empirical_score_fn(ds, params, s0, pol)
+        rng = np.random.default_rng(9)
+        for t in [1.0, 0.5, 0.5, 0.25, 1.0, 0.25, 0.5, 1e-3, 1e-3, 0.25]:
+            u = rng.standard_normal((5, 6))
+            fresh = score_last_block(mixture_at(ds, params, s0, pol, t), u)
+            assert np.array_equal(fn(u, t), fresh)
+
+    @pytest.mark.parametrize("method, builds", [("heun", 41), ("euler", 40)])
+    def test_one_build_per_grid_time(self, monkeypatch, method, builds):
+        # A k-step Heun pass evaluates 2k times at k + 1 distinct times.
+        ds, params, s0, pol = self._setup()
+        real = score_module.mixture_at
+        times, live = [], []
+
+        def counting(*args):
+            assert sum(ref() is not None for ref in live) <= 2
+            mix = real(*args)
+            times.append(args[-1])
+            live.append(weakref.ref(mix))
+            return mix
+
+        monkeypatch.setattr(score_module, "mixture_at", counting)
+        fn = empirical_score_fn(ds, params, s0, pol)
+        grid = TimeGrid(steps=40)
+        pf_ode_endpoints(params, fn, grid, rng_seed=5, h=2, runs=6, method=method)
+        assert len(times) == builds
+        assert times == [float(t) for t in grid.times()[:builds]]
+        assert sum(ref() is not None for ref in live) <= 2
