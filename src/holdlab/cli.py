@@ -207,6 +207,14 @@ def _generate_endpoints(
     return positions, ok, failures, train
 
 
+def _failure_exit(diverged: int, total_runs: int) -> int:
+    """Exit code 3 when the diverged runs reach FAILURE_BUDGET, else 0."""
+    if total_runs and diverged / total_runs >= FAILURE_BUDGET:
+        print(f"error: {diverged}/{total_runs} runs diverged", file=sys.stderr)
+        return 3
+    return 0
+
+
 def cmd_generate(args) -> int:
     try:
         config = _config_from_args(args)
@@ -242,13 +250,7 @@ def cmd_generate(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if total_runs and len(failure_rows) / total_runs >= FAILURE_BUDGET:
-        print(
-            f"error: {len(failure_rows)}/{total_runs} runs diverged",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+    return _failure_exit(len(failure_rows), total_runs)
 
 
 def cmd_fmem_sweep(args) -> int:
@@ -275,22 +277,16 @@ def cmd_fmem_sweep(args) -> int:
                         [order, n_train, policy_name, run, step]
                         for run, step in failures
                     )
-                    report = fmem(positions[ok], train, tau=config.tau)
-                    held = heldout_points(
-                        config.dataset, max(n_train, 256), config.seed
-                    )
-                    w2 = gaussian_w2(positions[ok], held)
-                    rows.append(
-                        [
-                            order,
-                            n_train,
-                            policy_name,
-                            report.fraction,
-                            report.ci_low,
-                            report.ci_high,
-                            w2,
-                        ]
-                    )
+                    # A cell with no surviving run has no sample to score.
+                    scores = [math.nan] * 4
+                    if ok.any():
+                        report = fmem(positions[ok], train, tau=config.tau)
+                        held = heldout_points(
+                            config.dataset, max(n_train, 256), config.seed
+                        )
+                        w2 = gaussian_w2(positions[ok], held)
+                        scores = [report.fraction, report.ci_low, report.ci_high, w2]
+                    rows.append([order, n_train, policy_name, *scores])
         rows.sort(key=lambda r: (r[0], r[1], r[2]))
         _write_csv(
             out_dir / "sweep.csv",
@@ -305,13 +301,7 @@ def cmd_fmem_sweep(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if total_runs and len(failure_rows) / total_runs >= FAILURE_BUDGET:
-        print(
-            f"error: {len(failure_rows)}/{total_runs} runs diverged",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+    return _failure_exit(len(failure_rows), total_runs)
 
 
 def _forcing_values(spec: str, times: np.ndarray) -> np.ndarray:

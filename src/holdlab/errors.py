@@ -20,10 +20,3 @@ class NotPositiveSemidefiniteError(HoldLabError, ValueError):
 class PoleError(HoldLabError, ZeroDivisionError):
     """Transfer function evaluated exactly at its pole."""
 
-
-class DivergenceError(HoldLabError, RuntimeError):
-    """Reverse-time integration produced NaN or an unbounded state."""
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step

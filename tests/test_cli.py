@@ -293,6 +293,38 @@ class TestFmemSweepCommand:
             tmp_path / "b" / "sweep.csv"
         ).read_bytes()
 
+    def test_divergent_runs_exit_3(self, tmp_path, capsys):
+        # Every run of the cell diverges (see the generate twin): the cell
+        # gets NaN scores instead of crashing, and the budget still trips.
+        out = tmp_path / "diverge"
+        code = main(
+            [
+                "fmem-sweep",
+                "--orders",
+                "3",
+                "--n-train",
+                "4",
+                "--runs",
+                "8",
+                "--steps",
+                "400",
+                "--t-end",
+                "1e-8",
+                "--seed",
+                "1",
+                "--aux-policy",
+                "fixed",
+                "--out-dir",
+                str(out),
+            ]
+        )
+        assert code == 3
+        assert "8/8 runs diverged" in capsys.readouterr().err
+        _, rows = read_csv(out / "failures.csv")
+        assert len(rows) == 8
+        _, rows = read_csv(out / "sweep.csv")
+        assert rows == [["3", "4", "fixed", "nan", "nan", "nan", "nan"]]
+
     def test_both_policies_emitted(self, tmp_path):
         assert (
             main(

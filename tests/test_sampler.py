@@ -1,4 +1,4 @@
-"""Reverse-sampler tests: grids, priors, integrators, divergence handling."""
+"""Reverse-sampler tests: grids, priors, the batched integrator, failures."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from holdlab import (
     Dataset,
-    DivergenceError,
     FixedPerSample,
     HoldParams,
     TimeGrid,
@@ -15,13 +14,14 @@ from holdlab import (
     critically_damped_params,
     empirical_score_fn,
     initial_covariance,
+    kron_apply,
     matrix_exponential,
-    ou_pf_ode_generate,
-    ou_reverse_sde_generate,
+    ou_score,
+    ou_sde_endpoints,
     pf_ode_endpoints,
-    pf_ode_generate,
     sample_prior,
 )
+from holdlab import sampler
 
 
 def zero_score(h):
@@ -30,6 +30,60 @@ def zero_score(h):
         return np.zeros(u.shape[:-1] + (h,))
 
     return fn
+
+
+def flow_state(params, grid, rng_seed, method="heun"):
+    """Full lifted endpoint of one zero-score flow run (drift F u) started
+    from the prior draw of ``rng_seed``."""
+    fmat = build_forward_matrix(params).entries
+    start = sample_prior(params, 1, rng_seed).data[None]
+    state, ok, failures = sampler._integrate(
+        lambda u, t: kron_apply(fmat, u, 1), grid.times(), start, method
+    )
+    assert ok.all() and not failures
+    return state[0]
+
+
+def heun_single_run(params, score_fn, grid, rng_seed, h):
+    """Reference: one probability-flow run integrated on its own with Heun."""
+    fmat = build_forward_matrix(params).entries
+    gain = params.xi * params.l_inv
+
+    def drift(u, t):
+        out = kron_apply(fmat, u, h)
+        out[..., -h:] -= gain * np.asarray(score_fn(u, t), dtype=float)
+        return out
+
+    y = sample_prior(params, h, rng_seed).data
+    times = grid.times()
+    for k in range(len(times) - 1):
+        t0, t1 = float(times[k]), float(times[k + 1])
+        dt = t1 - t0
+        f0 = drift(y, t0)
+        pred = y + dt * f0
+        y = y + 0.5 * dt * (f0 + drift(pred, t1))
+    return y
+
+
+def euler_maruyama_single_run(xi, l_inv, score_fn, grid, rng_seed, h):
+    """Reference: one first-order reverse-SDE run, drawing its start and
+    then one noise vector per step from its own stream."""
+    rng = np.random.default_rng(rng_seed)
+    x = math.sqrt(l_inv) * rng.standard_normal(h)
+    times = grid.times()
+    noise_scale = math.sqrt(2.0 * xi * l_inv)
+    for k in range(len(times) - 1):
+        t0, t1 = float(times[k]), float(times[k + 1])
+        step = t0 - t1
+        s = np.asarray(score_fn(x, t0), dtype=float).reshape(-1)
+        x = x + xi * (x + 2.0 * l_inv * s) * step
+        x = x + noise_scale * math.sqrt(step) * rng.standard_normal(h)
+    return x
+
+
+def two_point_score(xi, l_inv):
+    ds = Dataset(np.array([[1.0], [-1.0]]))
+    return lambda x, t: ou_score(np.asarray(x), ds, xi, l_inv, t)
 
 
 class TestTimeGrid:
@@ -84,13 +138,13 @@ class TestPfOdeGenerate:
     def test_zero_score_matches_homogeneous_flow(self):
         params = critically_damped_params(2)
         grid = TimeGrid(steps=1000)
-        traj = pf_ode_generate(params, zero_score(1), grid, rng_seed=5, h=1)
+        end = flow_state(params, grid, 5)
         u_start = sample_prior(params, 1, 5).data
         e = matrix_exponential(
             build_forward_matrix(params), grid.t_end - grid.t_start
         ).entries
         want = e @ u_start
-        err = np.linalg.norm(traj.endpoint.data - want) / np.linalg.norm(want)
+        err = np.linalg.norm(end - want) / np.linalg.norm(want)
         assert err <= 1e-5
 
     def test_singleton_memorization(self):
@@ -99,67 +153,16 @@ class TestPfOdeGenerate:
         ds = Dataset(np.array([[1.5]]))
         s0 = initial_covariance(params, pol)
         fn = empirical_score_fn(ds, params, s0, pol)
-        traj = pf_ode_generate(params, fn, TimeGrid(), rng_seed=8, h=1)
-        assert abs(traj.endpoint.position[0] - 1.5) <= 1e-2
+        ends, ok, _ = pf_ode_endpoints(params, fn, TimeGrid(), rng_seed=8, h=1, runs=1)
+        assert ok.all()
+        assert abs(ends[0, 0] - 1.5) <= 1e-2
 
     def test_determinism(self):
         params = critically_damped_params(2)
         grid = TimeGrid(steps=50)
-        a = pf_ode_generate(params, zero_score(1), grid, rng_seed=3, h=1)
-        b = pf_ode_generate(params, zero_score(1), grid, rng_seed=3, h=1)
-        assert np.array_equal(a.endpoint.data, b.endpoint.data)
-
-    def test_record_keeps_path_and_scores(self):
-        params = critically_damped_params(2)
-        grid = TimeGrid(steps=20)
-        traj = pf_ode_generate(
-            params, zero_score(1), grid, rng_seed=3, h=1, record=True
-        )
-        assert len(traj.times) == 21
-        assert len(traj.states) == 21
-        assert len(traj.score_evals) == 20
-        assert np.all(np.diff(traj.times) < 0)
-
-    @pytest.mark.parametrize("method, per_step", [("heun", 2), ("euler", 1)])
-    def test_record_reuses_integrator_scores(self, method, per_step):
-        # The recorded scores are the step-start evaluations the integrator
-        # made, so recording costs no extra score calls.
-        params = critically_damped_params(3)
-        pol = FixedPerSample(seed=4)
-        ds = Dataset(np.array([[2.0, 0.0], [-2.0, 1.0], [0.0, -2.0]]))
-        base = empirical_score_fn(ds, params, initial_covariance(params, pol), pol)
-        calls = []
-
-        def fn(u, t):
-            calls.append(t)
-            return base(u, t)
-
-        grid = TimeGrid(steps=30)
-        plain = pf_ode_generate(params, fn, grid, rng_seed=6, h=2, method=method)
-        assert len(calls) == 30 * per_step
-        calls.clear()
-        traj = pf_ode_generate(
-            params, fn, grid, rng_seed=6, h=2, record=True, method=method
-        )
-        assert len(calls) == 30 * per_step
-        assert np.array_equal(traj.endpoint.data, plain.endpoint.data)
-        recomputed = [
-            np.asarray(base(st.data, float(t)), dtype=float)
-            for st, t in zip(traj.states[:-1], traj.times[:-1])
-        ]
-        assert len(traj.score_evals) == 30
-        for got, want in zip(traj.score_evals, recomputed):
-            assert np.array_equal(got, want)
-
-    def test_divergence_guard(self):
-        params = critically_damped_params(2)
-
-        def explode(u, t):
-            return np.full(np.shape(u)[:-1] + (1,), 1e9)
-
-        with pytest.raises(DivergenceError) as info:
-            pf_ode_generate(params, explode, TimeGrid(steps=10), rng_seed=1, h=1)
-        assert info.value.step is not None
+        a = flow_state(params, grid, 3)
+        b = flow_state(params, grid, 3)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("method,slope", [("heun", -2.0), ("euler", -1.0)])
     def test_integrator_order(self, method, slope):
@@ -169,16 +172,14 @@ class TestPfOdeGenerate:
         step_counts = [250, 500, 1000, 2000]
         for steps in step_counts:
             grid = TimeGrid(steps=steps)
-            traj = pf_ode_generate(
-                params, zero_score(1), grid, rng_seed=6, h=1, method=method
-            )
+            end = flow_state(params, grid, 6, method=method)
             if u_ref is None:
                 start = sample_prior(params, 1, 6).data
                 e = matrix_exponential(
                     build_forward_matrix(params), grid.t_end - grid.t_start
                 ).entries
                 u_ref = e @ start
-            errors.append(np.linalg.norm(traj.endpoint.data - u_ref))
+            errors.append(np.linalg.norm(end - u_ref))
         fit = np.polyfit(np.log(step_counts), np.log(errors), 1)[0]
         assert abs(fit - slope) <= 0.3
 
@@ -187,70 +188,74 @@ class TestOuSamplers:
     def test_ou_pf_zero_score_homogeneous(self):
         grid = TimeGrid(steps=1000)
         xi = 1.3
-        traj = ou_pf_ode_generate(xi, 1.0, zero_score(1), grid, rng_seed=44, h=1)
-        x_start = sample_prior(
-            HoldParams(order=1, gammas=(), xi=xi, l_inv=1.0), 1, 44
-        ).data
+        params = HoldParams(order=1, gammas=(), xi=xi, l_inv=1.0)
+        ends, ok, _ = pf_ode_endpoints(
+            params, zero_score(1), grid, rng_seed=44, h=1, runs=1
+        )
+        assert ok.all()
+        x_start = sample_prior(params, 1, [44, 0]).data
         want = math.exp(-xi * (grid.t_end - grid.t_start)) * x_start
-        assert np.abs(traj.endpoint.data - want).max() <= 1e-4 * np.abs(want).max()
+        assert np.abs(ends[0] - want).max() <= 1e-4 * np.abs(want).max()
 
     def test_sde_stationary_under_prior_score(self):
         xi, l_inv = 2.0, 1.0
         grid = TimeGrid(steps=400)
         prior_score = lambda x, t: -np.asarray(x) / l_inv
-        ends = np.concatenate(
-            [
-                ou_reverse_sde_generate(
-                    xi, l_inv, prior_score, grid, rng_seed=[7, i], h=1
-                ).endpoint.data
-                for i in range(4096)
-            ]
+        ends, ok, _ = ou_sde_endpoints(
+            xi, l_inv, prior_score, grid, rng_seed=7, h=1, runs=4096
         )
-        assert abs(ends.var() - l_inv) <= 0.05 * l_inv
+        assert ok.all()
+        assert abs(ends[:, 0].var() - l_inv) <= 0.05 * l_inv
 
     def test_sde_two_point_clusters(self):
-        ds = Dataset(np.array([[1.0], [-1.0]]))
         xi, l_inv = 2.0, 1.0
-
-        def fn(x, t):
-            from holdlab import ou_score
-
-            return ou_score(np.asarray(x), ds, xi, l_inv, t)
-
-        ends = np.array(
-            [
-                ou_reverse_sde_generate(
-                    xi, l_inv, fn, TimeGrid(), rng_seed=[13, i], h=1
-                ).endpoint.data[0]
-                for i in range(2048)
-            ]
+        batch, ok, _ = ou_sde_endpoints(
+            xi, l_inv, two_point_score(xi, l_inv), TimeGrid(), rng_seed=13, h=1,
+            runs=2048,
         )
+        assert ok.all()
+        ends = batch[:, 0]
         pos = ends[ends > 0]
         neg = ends[ends < 0]
         assert len(pos) > 100 and len(neg) > 100
         assert abs(pos.mean() - 1.0) <= 0.05
         assert abs(neg.mean() + 1.0) <= 0.05
 
+    @pytest.mark.parametrize(
+        "seed, steps, fn",
+        [(7, 400, lambda x, t: -np.asarray(x)), (13, 1000, two_point_score(2.0, 1.0))],
+        ids=["prior_score", "two_point"],
+    )
+    def test_sde_matches_single_runs(self, seed, steps, fn):
+        # Same streams and arithmetic as the single-run loop, so bit for bit.
+        grid = TimeGrid(steps=steps)
+        batch, ok, failures = ou_sde_endpoints(
+            2.0, 1.0, fn, grid, rng_seed=seed, h=1, runs=16
+        )
+        assert ok.all() and not failures
+        for i in range(16):
+            single = euler_maruyama_single_run(2.0, 1.0, fn, grid, [seed, i], h=1)
+            assert np.array_equal(batch[i], single)
+
     def test_sde_determinism(self):
         fn = zero_score(1)
-        a = ou_reverse_sde_generate(1.0, 1.0, fn, TimeGrid(steps=30), 5, h=1)
-        b = ou_reverse_sde_generate(1.0, 1.0, fn, TimeGrid(steps=30), 5, h=1)
-        assert np.array_equal(a.endpoint.data, b.endpoint.data)
+        a = ou_sde_endpoints(1.0, 1.0, fn, TimeGrid(steps=30), 5, h=1, runs=1)
+        b = ou_sde_endpoints(1.0, 1.0, fn, TimeGrid(steps=30), 5, h=1, runs=1)
+        assert np.array_equal(a[0], b[0])
 
     def test_singleton_error_decreases_with_steps(self):
         ds = Dataset(np.array([[1.0]]))
 
         def fn(x, t):
-            from holdlab import ou_score
-
             return ou_score(np.asarray(x), ds, 2.0, 1.0, t)
 
         errs = []
         for steps in (1, 1000):
-            traj = ou_reverse_sde_generate(
-                2.0, 1.0, fn, TimeGrid(steps=steps), rng_seed=2, h=1
+            ends, ok, _ = ou_sde_endpoints(
+                2.0, 1.0, fn, TimeGrid(steps=steps), rng_seed=2, h=1, runs=1
             )
-            errs.append(abs(traj.endpoint.data[0] - 1.0))
+            assert ok.all()
+            errs.append(abs(ends[0, 0] - 1.0))
         assert errs[1] < errs[0]
 
 
@@ -267,8 +272,45 @@ class TestBatchEndpoints:
         )
         assert ok.all() and not failures
         for i in range(4):
-            single = pf_ode_generate(params, fn, grid, rng_seed=[9, i], h=1)
-            assert np.abs(batch[i] - single.endpoint.position).max() <= 1e-9
+            single = heun_single_run(params, fn, grid, [9, i], h=1)
+            assert np.abs(batch[i] - single[:1]).max() <= 1e-9
+
+    @pytest.mark.parametrize("method, per_step", [("heun", 2), ("euler", 1)])
+    def test_score_calls_per_step(self, method, per_step):
+        params = critically_damped_params(3)
+        pol = FixedPerSample(seed=4)
+        ds = Dataset(np.array([[2.0, 0.0], [-2.0, 1.0], [0.0, -2.0]]))
+        base = empirical_score_fn(ds, params, initial_covariance(params, pol), pol)
+        calls = []
+
+        def fn(u, t):
+            calls.append(t)
+            return base(u, t)
+
+        pf_ode_endpoints(
+            params, fn, TimeGrid(steps=30), rng_seed=6, h=2, runs=3, method=method
+        )
+        assert len(calls) == 30 * per_step
+
+    def test_unknown_method_rejected_up_front(self, monkeypatch):
+        draws, calls = [], []
+        real_prior = sampler.sample_prior
+        monkeypatch.setattr(
+            sampler,
+            "sample_prior",
+            lambda *a: draws.append(a) or real_prior(*a),
+        )
+
+        def fn(u, t):
+            calls.append(t)
+            return np.zeros(np.shape(u)[:-1] + (1,))
+
+        with pytest.raises(ValueError, match="rk4"):
+            pf_ode_endpoints(
+                critically_damped_params(2), fn, TimeGrid(steps=10), rng_seed=1,
+                h=1, runs=2, method="rk4",
+            )
+        assert not draws and not calls
 
     def test_failures_reported_and_frozen(self):
         params = critically_damped_params(2)
@@ -286,6 +328,28 @@ class TestBatchEndpoints:
         assert not ok.any()
         assert len(failures) == 6
         assert np.all(np.isfinite(batch))
+
+    @pytest.mark.parametrize("method, per_step", [("euler", 1), ("heun", 2)])
+    def test_failed_runs_stay_frozen(self, method, per_step):
+        # A score that blows up only on 0.5 < t < 0.52: a run that fails there
+        # must not resume once the forcing is back within the guard.
+        params = critically_damped_params(2)
+        starts = []
+
+        def spike(u, t):
+            starts.append(np.array(u, copy=True))
+            out = np.zeros(np.shape(u)[:-1] + (1,))
+            if 0.5 < t < 0.52:
+                out[...] = 1e9
+            return out
+
+        batch, ok, failures = pf_ode_endpoints(
+            params, spike, TimeGrid(), rng_seed=3, h=1, runs=4, method=method
+        )
+        assert not ok.any() and len(failures) == 4
+        for run, step in failures:
+            # The first score call of each step sees the step's start state.
+            assert np.array_equal(batch[run], starts[per_step * step][run, :1])
 
     def test_memorization_weak_ordering(self):
         # Desk-scale endpoint property: memorized fraction is non-increasing
