@@ -45,7 +45,6 @@ from .datasets import heldout_points, training_points
 from .errors import HoldLabError, InvalidOrderError
 from .filters import (
     HoldFilter,
-    OuFilter,
     convolution_reconstruct,
     forced_ode_positions,
     frequency_magnitude,
@@ -110,12 +109,13 @@ def cmd_filter(args) -> int:
     omegas = np.logspace(
         math.log10(args.omega_min), math.log10(args.omega_max), args.omega_points
     )
-    specs: list[tuple[str, HoldFilter | OuFilter]] = [("ou", OuFilter(xi=1.0))]
+    ou_params = HoldParams(order=1, gammas=(), xi=1.0, l_inv=1.0)
+    specs = [("ou", HoldFilter.from_params(ou_params))]
     for n in args.orders:
         if n < 2:
             print(f"error: filter orders must be >= 2, got {n}", file=sys.stderr)
             return 2
-        specs.append((f"hold{n}", HoldFilter(order=n)))
+        specs.append((f"hold{n}", HoldFilter.from_params(critically_damped_params(n))))
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
     for label, spec in specs:
@@ -329,22 +329,20 @@ def cmd_theorem1_check(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cases: list[tuple[str, HoldFilter | OuFilter, HoldParams, LiftedState]] = []
     ou_params = HoldParams(order=1, gammas=(), xi=args.ou_xi, l_inv=1.0)
-    cases.append(
-        ("ou", OuFilter(xi=args.ou_xi), ou_params, LiftedState(1, 1, np.array([1.0])))
-    )
+    cases = [("ou", ou_params, LiftedState(1, 1, np.array([1.0])))]
     for n in args.orders:
         if n < 2:
             print(f"error: theorem orders must be >= 2, got {n}", file=sys.stderr)
             return 2
         params = critically_damped_params(n)
         u0 = LiftedState(n, 1, np.array([1.0] + [0.5] * (n - 1)))
-        cases.append((f"hold{n}", HoldFilter.from_params(params), params, u0))
+        cases.append((f"hold{n}", params, u0))
 
     rows: list[list] = []
     worst = 0.0
-    for label, spec, params, u0 in cases:
+    for label, params, u0 in cases:
+        spec = HoldFilter.from_params(params)
         for fname, fvals in forcings:
             recon = convolution_reconstruct(spec, params, u0, fvals, times)
             if not fvals.any():

@@ -83,13 +83,6 @@ class BlockMatrix:
             raise ValueError(f"entries must be {self.order}x{self.order}")
         object.__setattr__(self, "entries", e)
 
-    def matvec(self, state: "LiftedState") -> "LiftedState":
-        """Apply the blockwise (Kronecker-lifted) matrix to a lifted state."""
-        if state.order != self.order:
-            raise ValueError("state order does not match matrix order")
-        out = kron_apply(self.entries, state.data, state.block_dim)
-        return LiftedState(state.order, state.block_dim, out)
-
 
 @dataclass(frozen=True)
 class LiftedState:
@@ -139,8 +132,7 @@ def kron_apply(mat: np.ndarray, data: np.ndarray, block_dim: int) -> np.ndarray:
     n = mat.shape[0]
     lead = data.shape[:-1]
     blocks = data.reshape(*lead, n, block_dim)
-    out = np.einsum("ij,...jh->...ih", mat, blocks)
-    return out.reshape(*lead, n * block_dim)
+    return (mat @ blocks).reshape(*lead, n * block_dim)
 
 
 def critically_damped_params(
@@ -190,10 +182,14 @@ def damped_eigenvalue(f: BlockMatrix) -> float:
     return float(np.trace(f.entries)) / f.order
 
 
-def _series_terms(entries: np.ndarray) -> tuple[float, list[np.ndarray]]:
-    """Shift eigenvalue and the nilpotent Taylor terms N^k / k! for k < n."""
-    n = entries.shape[0]
-    s_star = float(np.trace(entries)) / n
+@lru_cache(maxsize=256)
+def _nilpotent_terms(params: HoldParams) -> tuple[float, tuple[np.ndarray, ...]]:
+    """Repeated eigenvalue s* and the Taylor terms N^k / k! (k < n) of the
+    nilpotent shift N = F - s* I, cached for the hot paths (covariance
+    propagation, mixtures, samplers); the arrays are treated as immutable."""
+    f = build_forward_matrix(params)
+    entries, n = f.entries, f.order
+    s_star = damped_eigenvalue(f)
     nilp = entries - s_star * np.eye(n)
     terms = [np.eye(n)]
     for k in range(1, n):
@@ -206,53 +202,25 @@ def _series_terms(entries: np.ndarray) -> tuple[float, list[np.ndarray]]:
             "shifted drift matrix is not nilpotent; the matrix exponential "
             "series is not finite for these parameters"
         )
-    return s_star, terms
+    return s_star, tuple(terms)
 
 
-def _eval_series(s_star: float, terms: list[np.ndarray], t: float) -> np.ndarray:
-    acc = terms[0].copy()
-    tk = 1.0
-    for term in terms[1:]:
-        tk *= t
-        acc += term * tk
-    return math.exp(s_star * t) * acc
+def expm_at(params: HoldParams, t: float) -> np.ndarray:
+    """exp(F t) at block scale for the drift matrix of ``params``.
 
-
-def matrix_exponential(f: BlockMatrix, t: float) -> BlockMatrix:
-    """exp(F t) by the finite nilpotent Taylor series.
-
-    Exact up to floating point for critically damped F: with s* the repeated
-    eigenvalue, (F - s* I) is nilpotent of index n and
+    Exact up to floating point when F has a single n-fold eigenvalue s*
+    (order 1, and critical damping at orders >= 2): then F - s* I is
+    nilpotent of index n and
 
         exp(F t) = exp(s* t) * sum_{k < n} (F - s* I)^k t^k / k!
 
     Raises ``NotCriticallyDampedError`` when the nilpotency residual
     ||(F - s* I)^n|| exceeds 1e-8 * max(1, ||F||^n).
     """
-    s_star, terms = _series_terms(f.entries)
-    return BlockMatrix(f.order, _eval_series(s_star, terms, t), f.block_dim)
-
-
-@lru_cache(maxsize=256)
-def _cached_series(params: HoldParams) -> tuple[float, tuple[np.ndarray, ...]]:
-    # Shared by the hot paths (covariance propagation, mixtures, samplers);
-    # arrays are treated as immutable by convention.
-    f = build_forward_matrix(params)
-    s_star, terms = _series_terms(f.entries)
-    return s_star, tuple(terms)
-
-
-def expm_at(params: HoldParams, t: float) -> np.ndarray:
-    """exp(F t) at block scale for the drift matrix of ``params``."""
-    s_star, terms = _cached_series(params)
-    return _eval_series(s_star, list(terms), t)
-
-
-def char_poly_eval(f: BlockMatrix, s: complex) -> complex:
-    """Characteristic polynomial det(sI - F), leading coefficient +1.
-
-    For critically damped F this equals (s - s*)^n.
-    """
-    n = f.order
-    m = s * np.eye(n, dtype=complex) - f.entries
-    return complex(np.linalg.det(m))
+    s_star, terms = _nilpotent_terms(params)
+    acc = terms[0].copy()
+    tk = 1.0
+    for term in terms[1:]:
+        tk *= t
+        acc += term * tk
+    return math.exp(s_star * t) * acc

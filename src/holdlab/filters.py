@@ -2,8 +2,11 @@
 
 The position variable of the reverse-time flow is a linear time-invariant
 system driven by the score through the last block: its transfer function is
-a single pole of multiplicity n at the repeated eigenvalue, so the score is
-low-pass filtered with a roll-off that steepens with the order.  For a
+a single pole of multiplicity n at the repeated eigenvalue s* = -xi/n, so
+the score is low-pass filtered with a roll-off that steepens with the order.
+One filter class and one formula per quantity cover every order: the
+first-order (Ornstein-Uhlenbeck) filter is the n = 1 case, a simple pole at
+s* = -xi with gamma_bar = 1.  For a
 scripted (state-independent) forcing the position solves
 
     x(t) = (kernel * forcing)(t) + natural(t),
@@ -19,118 +22,79 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    HoldParams,
-    LiftedState,
-    build_forward_matrix,
-    critically_damped_params,
-    expm_at,
-)
+from .core import HoldParams, LiftedState, build_forward_matrix, expm_at
 from .errors import PoleError
 
 
 @dataclass(frozen=True)
 class HoldFilter:
-    """Position-channel filter of an order-n chain (n >= 2)."""
+    """Position-channel filter of an order-n chain (n >= 1).
+
+    The score enters at the last block and reaches the position through the
+    chain of couplings: gain gamma_bar xi l_inv and one pole of multiplicity
+    n at the drift's repeated eigenvalue.  Build it with ``from_params``.
+    """
 
     order: int
-    l_inv: float = 1.0
-    gamma_bar: float | None = None
-
-    def __post_init__(self):
-        if self.order < 2:
-            raise ValueError("HoldFilter needs order >= 2")
-        if self.gamma_bar is None:
-            object.__setattr__(
-                self, "gamma_bar", critically_damped_params(self.order).gamma_bar
-            )
+    xi: float
+    l_inv: float
+    gamma_bar: float
 
     @classmethod
     def from_params(cls, params: HoldParams) -> "HoldFilter":
-        return cls(order=params.order, l_inv=params.l_inv, gamma_bar=params.gamma_bar)
+        return cls(
+            order=params.order,
+            xi=params.xi,
+            l_inv=params.l_inv,
+            gamma_bar=params.gamma_bar,
+        )
 
     @property
     def pole(self) -> float:
-        return -math.sqrt(2 * self.order - 3)
-
-    @property
-    def xi(self) -> float:
-        return self.order * math.sqrt(2 * self.order - 3)
+        """s* = trace(F)/n = -xi/n: -xi at order 1, -sqrt(2n-3) under
+        critical damping."""
+        return -self.xi / self.order
 
 
-@dataclass(frozen=True)
-class OuFilter:
-    """First-order (single real pole) filter."""
-
-    xi: float
-    l_inv: float = 1.0
-
-    def __post_init__(self):
-        if self.xi <= 0:
-            raise ValueError("OuFilter needs xi > 0")
-
-    @property
-    def pole(self) -> float:
-        return -self.xi
-
-
-FilterSpec = HoldFilter | OuFilter
-
-
-def impulse_response(spec: FilterSpec, t):
+def impulse_response(spec: HoldFilter, t):
     """Causal kernel through which the score drives the position.
 
-    Order n >= 2:  -gamma_bar xi l_inv t^{n-1} exp(-t sqrt(2n-3)) / (n-1)!
-    First order:   -xi l_inv exp(-xi t)
+        -gamma_bar xi l_inv t^{n-1} exp(s* t) / (n-1)!
 
     Zero for t < 0.  The 1/(n-1)! is the residue factor of the multiplicity-n
     pole; it makes the kernel the exact inverse Laplace transform of
     ``transfer_function`` and the exact (1, n) entry response of the chain.
     """
     t = np.asarray(t, dtype=float)
-    if isinstance(spec, HoldFilter):
-        n = spec.order
-        amp = -spec.gamma_bar * spec.xi * spec.l_inv / math.factorial(n - 1)
-        with np.errstate(over="ignore"):
-            vals = amp * t ** (n - 1) * np.exp(spec.pole * t)
-    else:
-        vals = -spec.xi * spec.l_inv * np.exp(-spec.xi * t)
+    n = spec.order
+    amp = -spec.gamma_bar * spec.xi * spec.l_inv / math.factorial(n - 1)
+    with np.errstate(over="ignore"):
+        vals = amp * t ** (n - 1) * np.exp(spec.pole * t)
     out = np.where(t >= 0, vals, 0.0)
     return float(out) if out.ndim == 0 else out
 
 
-def transfer_function(spec: FilterSpec, s: complex) -> complex:
+def transfer_function(spec: HoldFilter, s: complex) -> complex:
     """Laplace transform of the kernel: -gamma_bar xi l_inv / (s - s*)^n.
 
-    The denominator is the characteristic polynomial of the drift matrix
-    (a single pole of multiplicity n for critically damped parameters; a
-    simple pole at -xi in the first-order case).
+    The denominator is the characteristic polynomial of the drift matrix, a
+    single pole of multiplicity n at s*.
     """
-    s = complex(s)
-    if isinstance(spec, HoldFilter):
-        dist = s - spec.pole
-        if dist == 0:
-            raise PoleError(f"transfer function has a pole at s = {spec.pole}")
-        return -spec.gamma_bar * spec.xi * spec.l_inv / dist**spec.order
-    dist = s + spec.xi
+    dist = complex(s) - spec.pole
     if dist == 0:
-        raise PoleError(f"transfer function has a pole at s = {-spec.xi}")
-    return -spec.xi * spec.l_inv / dist
+        raise PoleError(f"transfer function has a pole at s = {spec.pole}")
+    return -spec.gamma_bar * spec.xi * spec.l_inv / dist**spec.order
 
 
-def frequency_magnitude(spec: FilterSpec, omega):
+def frequency_magnitude(spec: HoldFilter, omega):
     """|H(i omega)| in closed form; monotone non-increasing in |omega|."""
     omega = np.asarray(omega, dtype=float)
-    if isinstance(spec, HoldFilter):
-        n = spec.order
-        out = (
-            spec.gamma_bar
-            * spec.xi
-            * spec.l_inv
-            / (omega**2 + (2 * n - 3)) ** (n / 2)
-        )
-    else:
-        out = spec.xi * spec.l_inv / np.sqrt(omega**2 + spec.xi**2)
+    out = (
+        spec.gamma_bar
+        * spec.xi
+        * spec.l_inv
+        / (omega**2 + spec.pole**2) ** (spec.order / 2)
+    )
     return float(out) if out.ndim == 0 else out
 
 
@@ -142,16 +106,8 @@ def natural_response(params: HoldParams, u0: LiftedState, t: float) -> np.ndarra
     return (row @ u0.data.reshape(params.order, h)).reshape(h)
 
 
-def _natural_positions(
-    params: HoldParams, u0: LiftedState, times: np.ndarray
-) -> np.ndarray:
-    h = u0.block_dim
-    blocks = u0.data.reshape(params.order, h)
-    return np.stack([expm_at(params, float(t))[0] @ blocks for t in times])
-
-
 def convolution_reconstruct(
-    spec: FilterSpec,
+    spec: HoldFilter,
     params: HoldParams,
     u0: LiftedState,
     forcing: np.ndarray,
@@ -189,7 +145,8 @@ def convolution_reconstruct(
         full -= 0.5 * kernel[0] * forcing[:, j]
         conv[:, j] = step * full
 
-    return conv + _natural_positions(params, u0, times)
+    natural = np.stack([natural_response(params, u0, float(t)) for t in times])
+    return conv + natural
 
 
 def forced_ode_positions(

@@ -4,7 +4,9 @@ Integration runs a batch of independent runs backward from the stationary
 prior at t_start down to a small positive t_end.  One batched core,
 ``_integrate``, steps every route: the deterministic probability-flow ODE
 (Heun or Euler) for every order, in ``pf_ode_endpoints``, and Euler-Maruyama
-on the first-order reverse SDE, in ``ou_sde_endpoints``.  Run i draws from
+on the first-order reverse SDE, in ``ou_sde_endpoints``.  Both take
+``HoldParams``; the first-order process is ``HoldParams(order=1, gammas=(),
+xi=..., l_inv=...)``, the n = 1 case of the same drift.  Run i draws from
 its own stream (rng_seed, i), so results do not depend on batching.  A run
 that diverges is frozen at its last good state and reported, never raised.
 """
@@ -142,8 +144,7 @@ def pf_ode_endpoints(
 
 
 def ou_sde_endpoints(
-    xi: float,
-    l_inv: float,
+    params: HoldParams,
     score_fn,
     grid: TimeGrid,
     rng_seed,
@@ -152,6 +153,7 @@ def ou_sde_endpoints(
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
     """Euler-Maruyama endpoints of the first-order reverse SDE.
 
+    ``params`` must be order 1 (``ValueError`` otherwise, before any draw).
     Stepping t -> t - dt applies drift xi (x + 2 l_inv s(x, t)) dt plus
     noise sqrt(2 xi l_inv dt) z.  Run i draws its start x_T ~ N(0, l_inv I_h)
     and then its (steps, h) noise from stream (rng_seed, i).  Failures are
@@ -159,6 +161,11 @@ def ou_sde_endpoints(
 
     Returns (positions (runs, h), ok mask (runs,), failures).
     """
+    if params.order != 1:
+        raise ValueError(
+            f"the reverse SDE sampler is first-order only, got order {params.order}"
+        )
+    xi, l_inv = params.xi, params.l_inv
     start = np.empty((runs, h))
     z = np.empty((runs, grid.steps, h))
     for i, seed in enumerate(_run_seeds(rng_seed, runs)):

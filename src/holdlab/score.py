@@ -9,11 +9,13 @@ whitened centers by direct differences (the expanded Gram form cancels at
 small t, where the whitened centers are huge).  Mixture weights are always
 computed in the log domain with the per-point maximum subtracted; raw
 densities underflow at exactly the separations where memorization happens.
+One kernel serves every order: at order 1 (the Ornstein-Uhlenbeck process)
+the mixture covariance is the scalar l_inv (1 - exp(-2 xi t)) and the same
+code gives the first-order empirical score.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,29 +205,6 @@ def empirical_score_fn(
         return score_last_block(mix, u)
 
     return fn
-
-
-def ou_score(x, dataset: Dataset, xi: float, l_inv: float, t: float) -> np.ndarray:
-    """First-order empirical score.
-
-    -(x - exp(-xi t) * weighted mean) / sigma_t^2 with
-    sigma_t^2 = l_inv (1 - exp(-2 xi t)) and softmax weights over the
-    scaled squared distances, computed in the log domain.
-    """
-    if t <= 0:
-        raise ValueError("ou_score needs t > 0 (sigma_t vanishes at t = 0)")
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    batch = arr[None, :] if single else arr
-    decay = math.exp(-xi * t)
-    var = l_inv * -math.expm1(-2.0 * xi * t)
-    sq = ((batch[:, None, :] - decay * dataset.points[None, :, :]) ** 2).sum(axis=2)
-    lw = -0.5 * sq / var
-    lw -= lw.max(axis=1, keepdims=True)
-    w = np.exp(lw)
-    w /= w.sum(axis=1, keepdims=True)
-    out = -(batch - decay * (w @ dataset.points)) / var
-    return out[0] if single else out
 
 
 def loss_weight(params: HoldParams, sigma0: BlockCovariance, t: float) -> float:

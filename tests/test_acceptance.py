@@ -15,7 +15,6 @@ from holdlab import (
     HoldFilter,
     HoldParams,
     LiftedState,
-    OuFilter,
     TimeGrid,
     build_forward_matrix,
     convolution_reconstruct,
@@ -28,13 +27,13 @@ from holdlab import (
     forced_ode_positions,
     frequency_magnitude,
     initial_covariance,
-    matrix_exponential,
     mc_loss,
     mixture_at,
     pf_ode_endpoints,
     score_full,
 )
 from holdlab.cli import FAILURE_BUDGET, main
+from holdlab.core import expm_at
 from holdlab.forward import BlockCovariance
 from holdlab.score import log_density_shifted
 
@@ -93,17 +92,18 @@ def test_criterion_01_critical_damping_closed_forms():
 def test_criterion_02_matrix_exponential():
     worst = 0.0
     for n in range(2, 6):
-        f = build_forward_matrix(critically_damped_params(n))
+        params = critically_damped_params(n)
+        f = build_forward_matrix(params)
         rng = np.random.default_rng(900 + n)
         for t in rng.uniform(0.0, 5.0, size=100):
-            got = matrix_exponential(f, float(t)).entries
+            got = expm_at(params, float(t))
             want = expm_oracle(f.entries * t)
             worst = max(worst, float(np.abs(got - want).max()))
-    f3 = build_forward_matrix(critically_damped_params(3))
+    p3 = critically_damped_params(3)
     r3 = math.sqrt(3.0)
     entry_err = max(
         abs(
-            matrix_exponential(f3, float(t)).entries[0, 0]
+            expm_at(p3, float(t))[0, 0]
             - math.exp(-r3 * t) * (t * t + r3 * t + 1.0)
         )
         for t in np.linspace(0.0, 5.0, 26)
@@ -164,7 +164,7 @@ def test_criterion_04_convolution_equivalence():
             err = np.linalg.norm(recon - oracle) / np.linalg.norm(oracle)
             worst = max(worst, float(err))
     ou_params = HoldParams(order=1, gammas=(), xi=2.0, l_inv=1.0)
-    ou_spec = OuFilter(xi=2.0)
+    ou_spec = HoldFilter.from_params(ou_params)
     u0 = LiftedState(1, 1, np.array([1.0]))
     for forcing in forcings:
         recon = convolution_reconstruct(ou_spec, ou_params, u0, forcing, times)
@@ -178,18 +178,19 @@ def test_criterion_04_convolution_equivalence():
 def test_criterion_05_frequency_response():
     omegas = np.logspace(2, 4, 60)
     slope_errs = []
+    hold = {n: HoldFilter.from_params(critically_damped_params(n)) for n in (2, 3, 4)}
+    ou = HoldFilter.from_params(HoldParams(order=1, gammas=(), xi=1.0, l_inv=1.0))
     for n in (2, 3, 4):
-        mags = frequency_magnitude(HoldFilter(order=n), omegas)
+        mags = frequency_magnitude(hold[n], omegas)
         slope = np.polyfit(np.log(omegas), np.log(mags), 1)[0]
         slope_errs.append(abs(slope + n))
-    ou_mags = frequency_magnitude(OuFilter(xi=1.0), omegas)
+    ou_mags = frequency_magnitude(ou, omegas)
     ou_slope = np.polyfit(np.log(omegas), np.log(ou_mags), 1)[0]
     slope_errs.append(abs(ou_slope + 1.0))
     low = np.linspace(0.0, 1.0, 40)
-    ou_low = frequency_magnitude(OuFilter(xi=1.0), low)
+    ou_low = frequency_magnitude(ou, low)
     dominance = all(
-        np.all(frequency_magnitude(HoldFilter(order=n), low) > ou_low)
-        for n in (2, 3, 4)
+        np.all(frequency_magnitude(hold[n], low) > ou_low) for n in (2, 3, 4)
     )
     ok = max(slope_errs) <= 0.05 and dominance
     report(

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
+import holdlab
+from holdlab import core, filters, sampler, score
 from holdlab import (
     BlockMatrix,
     HoldParams,
@@ -13,12 +15,11 @@ from holdlab import (
     LiftedState,
     NotCriticallyDampedError,
     build_forward_matrix,
-    char_poly_eval,
     critically_damped_params,
     damped_eigenvalue,
     kron_apply,
-    matrix_exponential,
 )
+from holdlab.core import expm_at
 
 
 def expm_oracle(a: np.ndarray) -> np.ndarray:
@@ -36,6 +37,12 @@ def expm_oracle(a: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         acc = acc @ acc
     return acc
+
+
+def char_poly(f, s: complex) -> complex:
+    """det(sI - F), leading coefficient +1."""
+    m = s * np.eye(f.order, dtype=complex) - f.entries
+    return complex(np.linalg.det(m))
 
 
 class TestCriticallyDampedParams:
@@ -124,19 +131,18 @@ class TestDampedEigenvalue:
 
 class TestMatrixExponential:
     def test_t_zero_is_identity(self):
-        f = build_forward_matrix(critically_damped_params(4))
-        e = matrix_exponential(f, 0.0)
-        assert np.array_equal(e.entries, np.eye(4))
+        e = expm_at(critically_damped_params(4), 0.0)
+        assert np.array_equal(e, np.eye(4))
 
     def test_n3_position_entry_closed_form(self):
-        f = build_forward_matrix(critically_damped_params(3))
+        p = critically_damped_params(3)
         r3 = math.sqrt(3.0)
         for t in np.linspace(0.0, 5.0, 41):
             closed = math.exp(-r3 * t) * (t * t + r3 * t + 1.0)
-            assert abs(matrix_exponential(f, t).entries[0, 0] - closed) <= 1e-12
+            assert abs(expm_at(p, t)[0, 0] - closed) <= 1e-12
 
     def test_n3_full_matrix_closed_form(self):
-        f = build_forward_matrix(critically_damped_params(3))
+        p = critically_damped_params(3)
         r2, r3, r6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
         for t in (0.2, 0.9, 2.4):
             want = math.exp(-r3 * t) * np.array(
@@ -146,23 +152,25 @@ class TestMatrixExponential:
                     [r2 * t * t, r6 * t * t - 2 * r2 * t, 2 * t * t - 2 * r3 * t + 1],
                 ]
             )
-            assert np.abs(matrix_exponential(f, t).entries - want).max() <= 1e-12
+            assert np.abs(expm_at(p, t) - want).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_series_oracle(self, n):
-        f = build_forward_matrix(critically_damped_params(n))
+        p = critically_damped_params(n)
+        f = build_forward_matrix(p)
         rng = np.random.default_rng(20240 + n)
         for t in rng.uniform(0.0, 5.0, size=25):
-            got = matrix_exponential(f, float(t)).entries
+            got = expm_at(p, float(t))
             want = expm_oracle(f.entries * t)
             assert np.abs(got - want).max() <= 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_scipy(self, n):
-        f = build_forward_matrix(critically_damped_params(n))
+        p = critically_damped_params(n)
+        f = build_forward_matrix(p)
         for t in (0.1, 0.9, 3.3):
             assert np.allclose(
-                matrix_exponential(f, t).entries,
+                expm_at(p, t),
                 scipy_expm(f.entries * t),
                 atol=1e-11,
                 rtol=0,
@@ -170,25 +178,21 @@ class TestMatrixExponential:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_semigroup(self, n):
-        f = build_forward_matrix(critically_damped_params(n))
+        p = critically_damped_params(n)
         rng = np.random.default_rng(77 + n)
         for _ in range(10):
             t, s = rng.uniform(0.0, 3.0, size=2)
-            lhs = matrix_exponential(f, float(t + s)).entries
-            rhs = matrix_exponential(f, float(t)).entries @ matrix_exponential(
-                f, float(s)
-            ).entries
+            lhs = expm_at(p, float(t + s))
+            rhs = expm_at(p, float(t)) @ expm_at(p, float(s))
             assert np.linalg.norm(lhs - rhs) <= 1e-9
 
     def test_derivative(self):
-        f = build_forward_matrix(critically_damped_params(3))
+        p = critically_damped_params(3)
+        f = build_forward_matrix(p)
         eps = 1e-6
         for t in (0.2, 1.1, 2.7):
-            fd = (
-                matrix_exponential(f, t + eps).entries
-                - matrix_exponential(f, t).entries
-            ) / eps
-            want = f.entries @ matrix_exponential(f, t).entries
+            fd = (expm_at(p, t + eps) - expm_at(p, t)) / eps
+            want = f.entries @ expm_at(p, t)
             assert np.abs(fd - want).max() <= 1e-4
 
     @pytest.mark.parametrize("n", range(2, 7))
@@ -203,24 +207,23 @@ class TestMatrixExponential:
     def test_rejects_non_critical(self):
         p = critically_damped_params(2)
         off = HoldParams(order=2, gammas=p.gammas, xi=1.1 * p.xi, l_inv=1.0)
-        f = build_forward_matrix(off)
         with pytest.raises(NotCriticallyDampedError):
-            matrix_exponential(f, 1.0)
+            expm_at(off, 1.0)
 
 
 class TestCharPoly:
     def test_n2_at_zero(self):
         f = build_forward_matrix(critically_damped_params(2))
-        assert abs(char_poly_eval(f, 0.0) - 1.0) <= 1e-12
+        assert abs(char_poly(f, 0.0) - 1.0) <= 1e-12
 
     def test_root_at_eigenvalue(self):
         f = build_forward_matrix(critically_damped_params(3))
-        assert abs(char_poly_eval(f, -math.sqrt(3.0))) <= 1e-10
+        assert abs(char_poly(f, -math.sqrt(3.0))) <= 1e-10
 
     def test_n3_at_one(self):
         f = build_forward_matrix(critically_damped_params(3))
         want = (1.0 + math.sqrt(3.0)) ** 3
-        assert abs(char_poly_eval(f, 1.0) - want) <= 1e-10 * want
+        assert abs(char_poly(f, 1.0) - want) <= 1e-10 * want
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_equals_shifted_power(self, n):
@@ -230,7 +233,7 @@ class TestCharPoly:
         for _ in range(8):
             s = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             want = (s - s_star) ** n
-            assert abs(char_poly_eval(f, s) - want) <= 1e-9 * max(1.0, abs(want))
+            assert abs(char_poly(f, s) - want) <= 1e-9 * max(1.0, abs(want))
 
 
 class TestStateAndKron:
@@ -262,10 +265,40 @@ class TestStateAndKron:
     def test_blockmatrix_matvec(self):
         f = build_forward_matrix(critically_damped_params(2))
         u = LiftedState.from_blocks([1.0, 0.0], [0.0, 2.0])
-        out = f.matvec(u)
+        out = kron_apply(f.entries, u.data, u.block_dim)
         dense = np.kron(f.entries, np.eye(2)) @ u.data
-        assert np.allclose(out.data, dense, atol=1e-14, rtol=0)
+        assert np.allclose(out, dense, atol=1e-14, rtol=0)
 
     def test_blockmatrix_shape_validation(self):
         with pytest.raises(ValueError):
             BlockMatrix(order=2, entries=np.zeros((3, 3)))
+
+
+class TestPublicApi:
+    # Names deleted from the package: the order-1 filter, score and sampler
+    # copies, the second matrix-exponential route, and the single-run samplers.
+    REMOVED = (
+        "OuFilter",
+        "FilterSpec",
+        "ou_score",
+        "matrix_exponential",
+        "char_poly_eval",
+        "pf_ode_generate",
+        "ou_pf_ode_generate",
+        "ou_reverse_sde_generate",
+        "Trajectory",
+        "DivergenceError",
+    )
+
+    def test_all_is_unique_and_resolves(self):
+        names = holdlab.__all__
+        assert len(names) == len(set(names))
+        for name in names:
+            assert getattr(holdlab, name) is not None
+
+    def test_removed_names_are_gone(self):
+        modules = [holdlab, core, filters, score, sampler]
+        for name in self.REMOVED:
+            assert name not in holdlab.__all__
+            assert not any(hasattr(m, name) for m in modules), name
+        assert not hasattr(BlockMatrix, "matvec")

@@ -10,10 +10,8 @@ from holdlab import (
     HoldFilter,
     HoldParams,
     LiftedState,
-    OuFilter,
     PoleError,
     build_forward_matrix,
-    char_poly_eval,
     convolution_reconstruct,
     critically_damped_params,
     forced_ode_positions,
@@ -25,53 +23,64 @@ from holdlab import (
     transfer_function,
     TimeGrid,
 )
+from holdlab.core import expm_at
+
+
+def hold(n):
+    """Filter of the critically damped order-n chain (l_inv = 1)."""
+    return HoldFilter.from_params(critically_damped_params(n))
+
+
+def ou(xi):
+    """Filter of the first-order process with friction xi (l_inv = 1)."""
+    return HoldFilter.from_params(HoldParams(order=1, gammas=(), xi=xi, l_inv=1.0))
 
 
 class TestImpulseResponse:
     def test_hold2_at_one(self):
-        spec = HoldFilter(order=2)
+        spec = hold(2)
         assert abs(impulse_response(spec, 1.0) - (-2.0 * math.exp(-1.0))) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_zero_at_origin(self, n):
-        assert impulse_response(HoldFilter(order=n), 0.0) == 0.0
+        assert impulse_response(hold(n), 0.0) == 0.0
 
     def test_ou_at_origin(self):
-        assert impulse_response(OuFilter(xi=1.0), 0.0) == -1.0
+        assert impulse_response(ou(1.0), 0.0) == -1.0
 
     def test_causal(self):
-        for spec in (HoldFilter(order=3), OuFilter(xi=2.0)):
+        for spec in (hold(3), ou(2.0)):
             assert impulse_response(spec, -0.5) == 0.0
             out = impulse_response(spec, np.array([-1.0, 0.5]))
             assert out[0] == 0.0 and out[1] != 0.0
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_chain_response(self, n):
         # The kernel is -xi * l_inv times the (1, n) entry of exp(Ft).
-        params = critically_damped_params(n)
+        if n == 1:
+            params = HoldParams(order=1, gammas=(), xi=2.0, l_inv=1.0)
+        else:
+            params = critically_damped_params(n)
         spec = HoldFilter.from_params(params)
-        from holdlab import matrix_exponential
-
-        f = build_forward_matrix(params)
         for t in (0.3, 0.9, 2.2):
-            want = -params.xi * params.l_inv * matrix_exponential(f, t).entries[0, n - 1]
+            want = -params.xi * params.l_inv * expm_at(params, t)[0, n - 1]
             assert abs(impulse_response(spec, t) - want) <= 1e-12 * max(1, abs(want))
 
 
 class TestTransferFunction:
     def test_hold2_at_zero(self):
-        assert transfer_function(HoldFilter(order=2), 0.0) == pytest.approx(-2.0)
+        assert transfer_function(hold(2), 0.0) == pytest.approx(-2.0)
 
     def test_pole_error(self):
         with pytest.raises(PoleError):
-            transfer_function(HoldFilter(order=2), -1.0)
+            transfer_function(hold(2), -1.0)
         with pytest.raises(PoleError):
-            transfer_function(OuFilter(xi=1.5), -1.5)
+            transfer_function(ou(1.5), -1.5)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_laplace_quadrature(self, n):
         # Numerical Laplace transform of the kernel at s = 1.
-        spec = HoldFilter(order=n)
+        spec = hold(n)
         got, _ = quad(
             lambda t: impulse_response(spec, t) * math.exp(-t), 0.0, np.inf
         )
@@ -79,7 +88,7 @@ class TestTransferFunction:
         assert abs(got - want) <= 1e-6
 
     def test_laplace_quadrature_ou(self):
-        spec = OuFilter(xi=2.0)
+        spec = ou(2.0)
         got, _ = quad(
             lambda t: impulse_response(spec, t) * math.exp(-t), 0.0, np.inf
         )
@@ -94,26 +103,26 @@ class TestTransferFunction:
         for _ in range(5):
             s = complex(rng.uniform(-0.5, 2), rng.uniform(-2, 2))
             denom = -spec.gamma_bar * spec.xi * spec.l_inv / transfer_function(spec, s)
-            want = char_poly_eval(f, s)
+            want = complex(np.linalg.det(s * np.eye(n, dtype=complex) - f.entries))
             assert abs(denom - want) <= 1e-10 * max(1.0, abs(want))
 
 
 class TestFrequencyMagnitude:
     def test_hold2_dc(self):
-        assert frequency_magnitude(HoldFilter(order=2), 0.0) == pytest.approx(2.0)
+        assert frequency_magnitude(hold(2), 0.0) == pytest.approx(2.0)
 
     def test_ou_dc(self):
-        assert frequency_magnitude(OuFilter(xi=1.0), 0.0) == pytest.approx(1.0)
+        assert frequency_magnitude(ou(1.0), 0.0) == pytest.approx(1.0)
 
     def test_monotone_nonincreasing(self):
         omegas = np.linspace(0.0, 50.0, 400)
-        for spec in (HoldFilter(order=2), HoldFilter(order=4), OuFilter(xi=1.0)):
+        for spec in (hold(2), hold(4), ou(1.0)):
             mags = frequency_magnitude(spec, omegas)
             assert np.all(np.diff(mags) <= 1e-15)
 
     def test_matches_transfer_function(self):
         omegas = np.logspace(-2, 3, 40)
-        for spec in (HoldFilter(order=2), HoldFilter(order=3), OuFilter(xi=1.0)):
+        for spec in (hold(2), hold(3), ou(1.0)):
             for w in omegas:
                 want = abs(transfer_function(spec, 1j * w))
                 assert abs(frequency_magnitude(spec, w) - want) <= 1e-12 * want
@@ -121,22 +130,22 @@ class TestFrequencyMagnitude:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_high_frequency_slope(self, n):
         omegas = np.logspace(2, 4, 50)
-        mags = frequency_magnitude(HoldFilter(order=n), omegas)
+        mags = frequency_magnitude(hold(n), omegas)
         slope = np.polyfit(np.log(omegas), np.log(mags), 1)[0]
         assert abs(slope - (-n)) <= 0.05
 
     def test_ou_slope(self):
         omegas = np.logspace(2, 4, 50)
-        mags = frequency_magnitude(OuFilter(xi=1.0), omegas)
+        mags = frequency_magnitude(ou(1.0), omegas)
         slope = np.polyfit(np.log(omegas), np.log(mags), 1)[0]
         assert abs(slope - (-1.0)) <= 0.05
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_low_frequency_dominance_over_ou(self, n):
         omegas = np.linspace(0.0, 1.0, 50)
-        hold = frequency_magnitude(HoldFilter(order=n), omegas)
-        ou = frequency_magnitude(OuFilter(xi=1.0), omegas)
-        assert np.all(hold > ou)
+        hold_mags = frequency_magnitude(hold(n), omegas)
+        ou_mags = frequency_magnitude(ou(1.0), omegas)
+        assert np.all(hold_mags > ou_mags)
 
     def test_detuned_friction_leaks_high_frequencies(self):
         # Raising xi off the critical value splits the double pole into two
@@ -153,7 +162,7 @@ class TestFrequencyMagnitude:
             * xi_off
             / (abs(1j * omega - roots[0]) * abs(1j * omega - roots[1]))
         )
-        mag_crit = frequency_magnitude(HoldFilter(order=2), omega)
+        mag_crit = frequency_magnitude(hold(2), omega)
         assert mag_off > mag_crit
 
 
@@ -233,7 +242,7 @@ class TestConvolutionReconstruct:
     def test_ou_exponential_forcing_vs_quadrature(self):
         xi = 2.0
         params = HoldParams(order=1, gammas=(), xi=xi, l_inv=1.0)
-        spec = OuFilter(xi=xi)
+        spec = HoldFilter.from_params(params)
         u0 = LiftedState(1, 1, np.array([1.0]))
         times = uniform_grid()
         forcing = np.exp(-times)

@@ -18,9 +18,9 @@ from holdlab import (
     critically_damped_params,
     initial_covariance,
     lift_data,
-    matrix_exponential,
     sample_forward,
 )
+from holdlab.core import expm_at
 
 
 def zero_cov(n):
@@ -172,7 +172,7 @@ class TestSampleForward:
                 for i in range(n_draws)
             ]
         )
-        e = matrix_exponential(build_forward_matrix(p), t).entries
+        e = expm_at(p, t)
         mean_want = e @ u0.data
         cov_want = covariance_at(p, s0, t).small
         for j in range(2):
@@ -191,7 +191,7 @@ class TestSampleForward:
         u0 = LiftedState.from_blocks([0.3, -1.1], [0.0, 0.0])
         got = sample_forward(u0, p, s0, t, rng_seed=777)
 
-        e = matrix_exponential(build_forward_matrix(p), t).entries
+        e = expm_at(p, t)
         cov = covariance_at(p, s0, t)
         factor, _ = cholesky_block(cov)
         dense_cov = np.kron(cov.small, np.eye(h))

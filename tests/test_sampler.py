@@ -15,13 +15,12 @@ from holdlab import (
     empirical_score_fn,
     initial_covariance,
     kron_apply,
-    matrix_exponential,
-    ou_score,
     ou_sde_endpoints,
     pf_ode_endpoints,
     sample_prior,
 )
 from holdlab import sampler
+from holdlab.core import expm_at
 
 
 def zero_score(h):
@@ -63,6 +62,31 @@ def heun_single_run(params, score_fn, grid, rng_seed, h):
         pred = y + dt * f0
         y = y + 0.5 * dt * (f0 + drift(pred, t1))
     return y
+
+
+def ou_score(x, dataset: Dataset, xi: float, l_inv: float, t: float) -> np.ndarray:
+    """Closed-form first-order empirical score (the order-1 oracle).
+
+    -(x - exp(-xi t) * weighted mean) / sigma_t^2 with
+    sigma_t^2 = l_inv (1 - exp(-2 xi t)) and softmax weights over the
+    scaled squared distances, computed in the log domain.
+    """
+    arr = np.asarray(x, dtype=float)
+    single = arr.ndim == 1
+    batch = arr[None, :] if single else arr
+    decay = math.exp(-xi * t)
+    var = l_inv * -math.expm1(-2.0 * xi * t)
+    sq = ((batch[:, None, :] - decay * dataset.points[None, :, :]) ** 2).sum(axis=2)
+    lw = -0.5 * sq / var
+    lw -= lw.max(axis=1, keepdims=True)
+    w = np.exp(lw)
+    w /= w.sum(axis=1, keepdims=True)
+    out = -(batch - decay * (w @ dataset.points)) / var
+    return out[0] if single else out
+
+
+def ou_params(xi, l_inv):
+    return HoldParams(order=1, gammas=(), xi=xi, l_inv=l_inv)
 
 
 def euler_maruyama_single_run(xi, l_inv, score_fn, grid, rng_seed, h):
@@ -140,9 +164,7 @@ class TestPfOdeGenerate:
         grid = TimeGrid(steps=1000)
         end = flow_state(params, grid, 5)
         u_start = sample_prior(params, 1, 5).data
-        e = matrix_exponential(
-            build_forward_matrix(params), grid.t_end - grid.t_start
-        ).entries
+        e = expm_at(params, grid.t_end - grid.t_start)
         want = e @ u_start
         err = np.linalg.norm(end - want) / np.linalg.norm(want)
         assert err <= 1e-5
@@ -175,9 +197,7 @@ class TestPfOdeGenerate:
             end = flow_state(params, grid, 6, method=method)
             if u_ref is None:
                 start = sample_prior(params, 1, 6).data
-                e = matrix_exponential(
-                    build_forward_matrix(params), grid.t_end - grid.t_start
-                ).entries
+                e = expm_at(params, grid.t_end - grid.t_start)
                 u_ref = e @ start
             errors.append(np.linalg.norm(end - u_ref))
         fit = np.polyfit(np.log(step_counts), np.log(errors), 1)[0]
@@ -202,7 +222,7 @@ class TestOuSamplers:
         grid = TimeGrid(steps=400)
         prior_score = lambda x, t: -np.asarray(x) / l_inv
         ends, ok, _ = ou_sde_endpoints(
-            xi, l_inv, prior_score, grid, rng_seed=7, h=1, runs=4096
+            ou_params(xi, l_inv), prior_score, grid, rng_seed=7, h=1, runs=4096
         )
         assert ok.all()
         assert abs(ends[:, 0].var() - l_inv) <= 0.05 * l_inv
@@ -210,8 +230,8 @@ class TestOuSamplers:
     def test_sde_two_point_clusters(self):
         xi, l_inv = 2.0, 1.0
         batch, ok, _ = ou_sde_endpoints(
-            xi, l_inv, two_point_score(xi, l_inv), TimeGrid(), rng_seed=13, h=1,
-            runs=2048,
+            ou_params(xi, l_inv), two_point_score(xi, l_inv), TimeGrid(), rng_seed=13,
+            h=1, runs=2048,
         )
         assert ok.all()
         ends = batch[:, 0]
@@ -230,7 +250,7 @@ class TestOuSamplers:
         # Same streams and arithmetic as the single-run loop, so bit for bit.
         grid = TimeGrid(steps=steps)
         batch, ok, failures = ou_sde_endpoints(
-            2.0, 1.0, fn, grid, rng_seed=seed, h=1, runs=16
+            ou_params(2.0, 1.0), fn, grid, rng_seed=seed, h=1, runs=16
         )
         assert ok.all() and not failures
         for i in range(16):
@@ -239,8 +259,9 @@ class TestOuSamplers:
 
     def test_sde_determinism(self):
         fn = zero_score(1)
-        a = ou_sde_endpoints(1.0, 1.0, fn, TimeGrid(steps=30), 5, h=1, runs=1)
-        b = ou_sde_endpoints(1.0, 1.0, fn, TimeGrid(steps=30), 5, h=1, runs=1)
+        params = ou_params(1.0, 1.0)
+        a = ou_sde_endpoints(params, fn, TimeGrid(steps=30), 5, h=1, runs=1)
+        b = ou_sde_endpoints(params, fn, TimeGrid(steps=30), 5, h=1, runs=1)
         assert np.array_equal(a[0], b[0])
 
     def test_singleton_error_decreases_with_steps(self):
@@ -252,11 +273,25 @@ class TestOuSamplers:
         errs = []
         for steps in (1, 1000):
             ends, ok, _ = ou_sde_endpoints(
-                2.0, 1.0, fn, TimeGrid(steps=steps), rng_seed=2, h=1, runs=1
+                ou_params(2.0, 1.0), fn, TimeGrid(steps=steps), rng_seed=2, h=1, runs=1
             )
             assert ok.all()
             errs.append(abs(ends[0, 0] - 1.0))
         assert errs[1] < errs[0]
+
+    def test_sde_rejects_higher_order(self):
+        calls = []
+
+        def fn(x, t):
+            calls.append(t)
+            return np.zeros(np.shape(x))
+
+        with pytest.raises(ValueError, match="order 2"):
+            ou_sde_endpoints(
+                critically_damped_params(2), fn, TimeGrid(steps=10), rng_seed=1,
+                h=1, runs=2,
+            )
+        assert not calls
 
 
 class TestBatchEndpoints:

@@ -20,19 +20,18 @@ from holdlab import (
     initial_covariance,
     kron_apply,
     loss_weight,
-    matrix_exponential,
-    build_forward_matrix,
     mc_loss,
     mixture_at,
-    ou_score,
     pf_ode_endpoints,
     responsibilities,
     score_full,
     score_last_block,
 )
 from holdlab import score as score_module
+from holdlab.core import expm_at
 from holdlab.datasets import GaussianMixtureSpec, training_points
 from holdlab.score import log_density_shifted
+from test_sampler import ou_score
 
 
 def ou_params(xi=1.0, l_inv=1.0):
@@ -70,7 +69,7 @@ class TestMixtureAt:
     def test_order_preserving(self):
         pts = np.arange(10, dtype=float)[:, None]
         mix, ds, params, s0, pol = make_mixture(n=2, h=1, t=0.3, points=pts)
-        e = matrix_exponential(build_forward_matrix(params), 0.3).entries
+        e = expm_at(params, 0.3)
         for k in range(10):
             want = np.kron(e, np.eye(1)) @ ds.lifted(params, pol)[k]
             assert np.allclose(mix.centers[k], want, atol=1e-12, rtol=0)
@@ -182,31 +181,33 @@ class TestScoreLastBlock:
 
 
 class TestOuScore:
+    """Order-1 closed forms, reached through the one mixture kernel."""
+
+    @staticmethod
+    def score(points, x, xi, l_inv, t):
+        params = ou_params(xi=xi, l_inv=l_inv)
+        pol = Marginalized()
+        ds = Dataset(np.asarray(points, dtype=float))
+        mix = mixture_at(ds, params, initial_covariance(params, pol), pol, t)
+        return score_last_block(mix, x)
+
     def test_singleton_closed_form(self):
-        ds = Dataset(np.array([[2.0]]))
         xi, l_inv, t = 1.5, 0.8, 0.6
         x = np.array([0.4])
-        got = ou_score(x, ds, xi, l_inv, t)
+        got = self.score([[2.0]], x, xi, l_inv, t)
         var = l_inv * (1.0 - math.exp(-2 * xi * t))
         want = -(x - math.exp(-xi * t) * 2.0) / var
         assert np.abs(got - want).max() <= 1e-12
 
     def test_large_t_prior_score(self):
-        ds = Dataset(np.array([[1.0], [-2.0], [0.5]]))
         x = np.array([0.7])
-        got = ou_score(x, ds, xi=1.0, l_inv=2.0, t=40.0)
+        got = self.score([[1.0], [-2.0], [0.5]], x, xi=1.0, l_inv=2.0, t=40.0)
         assert np.abs(got - (-x / 2.0)).max() <= 1e-10
 
     def test_symmetry_zero(self):
-        ds = Dataset(np.array([[1.0], [-1.0]]))
         for t in (0.1, 0.5, 2.0):
-            got = ou_score(np.array([0.0]), ds, xi=2.0, l_inv=1.0, t=t)
+            got = self.score([[1.0], [-1.0]], np.array([0.0]), xi=2.0, l_inv=1.0, t=t)
             assert abs(got[0]) <= 1e-12
-
-    def test_nonpositive_time_rejected(self):
-        ds = Dataset(np.array([[1.0], [-1.0]]))
-        with pytest.raises(ValueError):
-            ou_score(np.array([0.0]), ds, xi=1.0, l_inv=1.0, t=0.0)
 
 
 class TestLossWeight:
