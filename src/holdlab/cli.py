@@ -324,12 +324,12 @@ def _forcing_values(spec: str, times: np.ndarray) -> np.ndarray:
 
 def cmd_theorem1_check(args) -> int:
     times = np.linspace(0.0, args.t_max, args.steps + 1)
-    try:
+    try:  # an unknown forcing (ConfigError) or a nonpositive friction
         forcings = [(spec, _forcing_values(spec, times)) for spec in args.forcings]
-    except ConfigError as exc:
+        ou_params = HoldParams(order=1, gammas=(), xi=args.ou_xi, l_inv=1.0)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ou_params = HoldParams(order=1, gammas=(), xi=args.ou_xi, l_inv=1.0)
     cases = [("ou", ou_params, LiftedState(1, 1, np.array([1.0])))]
     for n in args.orders:
         if n < 2:

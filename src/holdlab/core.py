@@ -127,12 +127,13 @@ def kron_apply(mat: np.ndarray, data: np.ndarray, block_dim: int) -> np.ndarray:
     """Compute (mat x I_h) @ data blockwise.
 
     ``data`` may carry leading batch axes; the trailing axis has length
-    ``mat.shape[0] * block_dim``.
+    ``n * block_dim``.  A stack of matrices (..., n, n) broadcasts against
+    those axes as in ``np.matmul``: (B, n, n) applies matrix b to row b.
     """
-    n = mat.shape[0]
-    lead = data.shape[:-1]
-    blocks = data.reshape(*lead, n, block_dim)
-    return (mat @ blocks).reshape(*lead, n * block_dim)
+    n = mat.shape[-1]
+    blocks = data.reshape(*data.shape[:-1], n, block_dim)
+    out = mat @ blocks
+    return out.reshape(*out.shape[:-2], n * block_dim)
 
 
 def critically_damped_params(
@@ -205,7 +206,7 @@ def _nilpotent_terms(params: HoldParams) -> tuple[float, tuple[np.ndarray, ...]]
     return s_star, tuple(terms)
 
 
-def expm_at(params: HoldParams, t: float) -> np.ndarray:
+def expm_at(params: HoldParams, t) -> np.ndarray:
     """exp(F t) at block scale for the drift matrix of ``params``.
 
     Exact up to floating point when F has a single n-fold eigenvalue s*
@@ -214,13 +215,25 @@ def expm_at(params: HoldParams, t: float) -> np.ndarray:
 
         exp(F t) = exp(s* t) * sum_{k < n} (F - s* I)^k t^k / k!
 
+    ``t`` is a scalar or a (T,) array, giving (n, n) or (T, n, n); each
+    slice is the scalar arithmetic (``math.exp`` per time), bit for bit.
+
     Raises ``NotCriticallyDampedError`` when the nilpotency residual
     ||(F - s* I)^n|| exceeds 1e-8 * max(1, ||F||^n).
     """
     s_star, terms = _nilpotent_terms(params)
-    acc = terms[0].copy()
-    tk = 1.0
+    if isinstance(t, float) or np.ndim(t) == 0:  # per-step path: no array set-up
+        acc = terms[0].copy()
+        tk = 1.0
+        for term in terms[1:]:
+            tk *= t
+            acc += term * tk
+        return math.exp(s_star * t) * acc
+    times = np.asarray(t, dtype=float)
+    acc = np.repeat(terms[0][None], len(times), axis=0)
+    tk = np.ones_like(times)
     for term in terms[1:]:
-        tk *= t
-        acc += term * tk
-    return math.exp(s_star * t) * acc
+        tk = tk * times
+        acc += term * tk[:, None, None]
+    scale = np.array([math.exp(s_star * x) for x in times.tolist()])
+    return scale[:, None, None] * acc

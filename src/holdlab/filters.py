@@ -98,12 +98,13 @@ def frequency_magnitude(spec: HoldFilter, omega):
     return float(out) if out.ndim == 0 else out
 
 
-def natural_response(params: HoldParams, u0: LiftedState, t: float) -> np.ndarray:
-    """Position block of exp(Ft) u0, the unforced solution."""
-    h = u0.block_dim
+def natural_response(params: HoldParams, u0: LiftedState, t) -> np.ndarray:
+    """Position block of exp(Ft) u0, the unforced solution: shape (h,) for
+    one time, (T, h) for a (T,) array of times."""
     e = expm_at(params, t)
-    row = e[0]
-    return (row @ u0.data.reshape(params.order, h)).reshape(h)
+    # One (1, n) @ (n, h) product per time, so that each row has the same
+    # bits as a single-time call (a (T, n) @ (n, h) GEMM differs in the last ulp).
+    return (e[..., :1, :] @ u0.data.reshape(params.order, u0.block_dim))[..., 0, :]
 
 
 def convolution_reconstruct(
@@ -145,8 +146,7 @@ def convolution_reconstruct(
         full -= 0.5 * kernel[0] * forcing[:, j]
         conv[:, j] = step * full
 
-    natural = np.stack([natural_response(params, u0, float(t)) for t in times])
-    return conv + natural
+    return conv + natural_response(params, u0, times)
 
 
 def forced_ode_positions(

@@ -3,7 +3,10 @@
 Initial covariances are block-scalar, so the time-t covariance keeps the
 form (n x n matrix) x I_h for all t.  Everything is therefore computed and
 factored at n x n scale and Kronecker-lifted; the full n*h x n*h covariance
-is never materialized.
+is never materialized.  Every function also takes a (T,) array of times
+and then works on a (T, n, n) stack whose slices equal the single-time
+results bit for bit; ``cholesky_block`` is the single-time view of
+``cholesky_stack``.
 """
 
 from __future__ import annotations
@@ -19,17 +22,18 @@ from .errors import NotPositiveSemidefiniteError
 
 @dataclass(frozen=True)
 class BlockCovariance:
-    """Symmetric n x n covariance at block scale, stamped with its time."""
+    """Symmetric n x n covariance at block scale, stamped with its time;
+    or a (T, n, n) stack of them with a (T,) array of times."""
 
     order: int
     small: np.ndarray
-    t: float
+    t: float | np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.small, dtype=float)
-        if m.shape != (self.order, self.order):
-            raise ValueError(f"small must be {self.order}x{self.order}")
-        if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
+        if m.shape[-2:] != (self.order, self.order) or m.shape[:-2] != np.shape(self.t):
+            raise ValueError(f"small must be {self.order}x{self.order}, one per time")
+        if not np.allclose(m, m.swapaxes(-1, -2), atol=1e-12, rtol=0.0):
             raise ValueError("covariance block must be symmetric to 1e-12")
         object.__setattr__(self, "small", m)
 
@@ -68,76 +72,98 @@ def initial_covariance(params: HoldParams, policy: AuxPolicy) -> BlockCovariance
     return BlockCovariance(order=n, small=small, t=0.0)
 
 
-def covariance_at(params: HoldParams, sigma0: BlockCovariance, t: float) -> BlockCovariance:
+def covariance_at(params: HoldParams, sigma0: BlockCovariance, t) -> BlockCovariance:
     """Propagate the block covariance to time t in closed form.
 
     Sigma_t = exp(Ft) Sigma_0 exp(Ft)^T + l_inv (I - exp(Ft) exp(Ft)^T),
     the solution of dSigma/dt = F Sigma + (F Sigma)^T + G G^T.
     """
-    if t < 0:
+    if (np.asarray(t) < 0).any():
         raise ValueError(f"time must be nonnegative, got {t}")
     if sigma0.order != params.order:
         raise ValueError("covariance order does not match params order")
     n = params.order
     e = expm_at(params, t)
-    small = e @ sigma0.small @ e.T + params.l_inv * (np.eye(n) - e @ e.T)
-    small = 0.5 * (small + small.T)
+    e_t = e.swapaxes(-1, -2)
+    small = e @ sigma0.small @ e_t + params.l_inv * (np.eye(n) - e @ e_t)
+    small = 0.5 * (small + small.swapaxes(-1, -2))
     return BlockCovariance(order=n, small=small, t=t)
+
+
+def cholesky_stack(
+    cov: BlockCovariance, floor: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower-triangular factors of the covariance blocks, flooring if needed.
+
+    Returns ``(L, delta)`` with L L^T = Sigma + delta I per time, where
+    delta is 0 when the plain factorization succeeds and otherwise the
+    floor actually added.  The default floor is 1e-12 times the largest
+    diagonal entry, with an absolute fallback of 1e-12 so the all-zero
+    covariance (t = 0, point-mass initialization) still factors.  When the
+    stack fails, its blocks are retried one by one: only those floor.
+    """
+    small, n = cov.small, cov.order
+    delta = np.zeros(small.shape[:-2])
+    try:
+        return np.linalg.cholesky(small), delta
+    except np.linalg.LinAlgError:
+        pass
+    if floor is None:
+        diag = np.diagonal(small, axis1=-2, axis2=-1)
+        floor = 1e-12 * np.maximum(diag.max(axis=-1), 1.0)
+    floors = np.broadcast_to(floor, small.shape[:-2]).reshape(-1)
+    factor = np.empty_like(small)
+    # Contiguous reshapes are views: the loop fills factor and delta.
+    factors, deltas = factor.reshape(-1, n, n), delta.reshape(-1)
+    times = np.ravel(cov.t)
+    for i, block in enumerate(small.reshape(-1, n, n)):
+        try:
+            factors[i] = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            deltas[i] = floors[i]
+            try:
+                factors[i] = np.linalg.cholesky(block + deltas[i] * np.eye(n))
+            except np.linalg.LinAlgError:
+                raise NotPositiveSemidefiniteError(
+                    f"covariance at t={times[i]} is not positive semidefinite "
+                    f"(flooring by {deltas[i]} did not help)"
+                ) from None
+    return factor, delta
 
 
 def cholesky_block(
     cov: BlockCovariance, floor: float | None = None
 ) -> tuple[np.ndarray, float]:
-    """Lower-triangular factor of the covariance block, flooring if needed.
-
-    Returns ``(L, delta)`` with L L^T = Sigma + delta I, where delta is 0
-    when the plain factorization succeeds and otherwise the floor actually
-    added.  The default floor is 1e-12 times the largest diagonal entry,
-    with an absolute fallback of 1e-12 so the all-zero covariance (t = 0,
-    point-mass initialization) still factors.
-    """
-    small = cov.small
-    if floor is None:
-        floor = 1e-12 * max(float(np.max(np.diag(small))), 1.0)
-    try:
-        return np.linalg.cholesky(small), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        shifted = small + floor * np.eye(cov.order)
-        return np.linalg.cholesky(shifted), floor
-    except np.linalg.LinAlgError:
-        raise NotPositiveSemidefiniteError(
-            f"covariance at t={cov.t} is not positive semidefinite "
-            f"(flooring by {floor} did not help)"
-        ) from None
+    """``cholesky_stack`` for a single time: ``(L, delta)`` with a float delta."""
+    if cov.small.ndim != 2:
+        raise ValueError("cholesky_block factors one time; use cholesky_stack")
+    factor, delta = cholesky_stack(cov, floor)
+    return factor, float(delta)
 
 
 def sample_forward(
     u0: LiftedState,
     params: HoldParams,
     sigma0: BlockCovariance,
-    t: float,
+    t,
     rng_seed,
-) -> LiftedState:
+) -> LiftedState | np.ndarray:
     """Draw u_t = exp(Ft) u_0 + (L_t x I_h) eps with eps ~ N(0, I_{nh}).
 
-    Deterministic for a fixed ``rng_seed``.  A covariance that is exactly
-    zero yields the mean with no noise consumed.
+    Deterministic for a fixed ``rng_seed``; a covariance that is exactly
+    zero yields the mean.  A (T,) array of times returns a (T, n*h) array
+    whose noise is one (T, n*h) standard normal draw.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
     n, h = params.order, u0.block_dim
     if u0.order != n:
         raise ValueError("state order does not match params order")
-    e = expm_at(params, t)
-    mean = kron_apply(e, u0.data, h)
-    cov = covariance_at(params, sigma0, t)
-    if not cov.small.any():
-        return LiftedState(n, h, mean)
-    factor, _ = cholesky_block(cov)
-    eps = np.random.default_rng(rng_seed).standard_normal(n * h)
-    return LiftedState(n, h, mean + kron_apply(factor, eps, h))
+    cov = covariance_at(params, sigma0, t)  # rejects negative times
+    mean = kron_apply(expm_at(params, t), u0.data, h)
+    factor, _ = cholesky_stack(cov)
+    eps = np.random.default_rng(rng_seed).standard_normal(mean.shape)
+    zero = ~cov.small.any(axis=(-2, -1))
+    out = np.where(zero[..., None], mean, mean + kron_apply(factor, eps, h))
+    return out if np.ndim(t) else LiftedState(n, h, out)
 
 
 def lift_data(

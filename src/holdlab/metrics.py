@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    LiftedState,
-    build_forward_matrix,
-    critically_damped_params,
-    expm_at,
-)
-from .forward import BlockCovariance, cholesky_block
+from .core import build_forward_matrix, critically_damped_params, expm_at
 
 # Below this time the direct determinant evaluation loses digits to
 # cancellation (the smallest eigenvalue scales like t^{2n-1}); switch to the
@@ -85,18 +79,6 @@ def fmem(generated, train, tau: float = 0.333) -> FmemReport:
     )
 
 
-def mahalanobis_sq(u: LiftedState, mean: LiftedState, cov: BlockCovariance) -> float:
-    """Squared Mahalanobis distance at block scale via triangular solves."""
-    if u.order != cov.order or mean.order != cov.order:
-        raise ValueError("state orders do not match covariance order")
-    if u.block_dim != mean.block_dim:
-        raise ValueError("state block dimensions differ")
-    factor, _ = cholesky_block(cov)
-    diff = (u.data - mean.data).reshape(cov.order, u.block_dim)
-    y = np.linalg.solve(factor, diff)
-    return float((y * y).sum())
-
-
 def _noise_covariance_series(n: int, t: float) -> np.ndarray:
     """Sigma_t = integral of exp(F tau) G G^T exp(F tau)^T for zero Sigma_0,
     l_inv = 1, as a truncated Taylor series in t.
@@ -142,7 +124,8 @@ def det_ratio(n: int, t: float, xi: float | None = None) -> float:
     """det(I - exp(Ft))^2 / det(I - exp(Ft) exp(Ft)^T) for critical damping.
 
     n = 1 is the first-order scalar ratio (1 - e^{-xi t})^2 / (1 - e^{-2 xi t})
-    = tanh(xi t / 2), with xi defaulting to 1.  For n >= 2 the numerator uses
+    = tanh(xi t / 2), with xi defaulting to 1 and required to be positive
+    (a friction of 0 or below is no diffusion).  For n >= 2 the numerator uses
     the exact eigenvalue form (1 - e^{s* t})^{2n}; the denominator switches
     to a cancellation-safe series below t = 0.05 (and whenever the direct
     determinant loses positivity).
@@ -151,6 +134,8 @@ def det_ratio(n: int, t: float, xi: float | None = None) -> float:
         raise ValueError(f"det_ratio needs t > 0, got {t}")
     if n < 1:
         raise ValueError("order must be >= 1")
+    if xi is not None and xi <= 0:
+        raise ValueError(f"friction xi must be positive, got {xi}")
     if n == 1:
         x = (1.0 if xi is None else xi) * t
         return math.tanh(0.5 * x)

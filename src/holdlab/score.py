@@ -12,6 +12,12 @@ densities underflow at exactly the separations where memorization happens.
 One kernel serves every order: at order 1 (the Ornstein-Uhlenbeck process)
 the mixture covariance is the scalar l_inv (1 - exp(-2 xi t)) and the same
 code gives the first-order empirical score.
+
+A mixture built at a (B,) array of times, one per row of a (B, n*h) batch,
+carries a leading B axis on its factors and whitened centers, and the same
+kernel broadcasts over it.  Score callbacks are ``score_fn(u, t)`` -> (B, h)
+last-block scores for u of shape (B, n*h), with t a float (the samplers) or
+a (B,) array (``mc_loss``).
 """
 
 from __future__ import annotations
@@ -25,9 +31,14 @@ from .forward import (
     AuxPolicy,
     BlockCovariance,
     cholesky_block,
+    cholesky_stack,
     covariance_at,
     lift_data,
 )
+
+# Samples per batched step of mc_loss: bounds the (B, N, n*h) whitened
+# centers built per step (peak memory); larger blocks run no faster.
+_MC_BLOCK = 256
 
 
 @dataclass
@@ -74,21 +85,22 @@ class Dataset:
 
 @dataclass(frozen=True)
 class EmpiricalMixture:
-    """Equal-weight Gaussian mixture: N centers sharing one block covariance."""
+    """Equal-weight Gaussian mixture: N centers sharing one block covariance.
+    Built at (B,) times, all fields from ``centers`` on carry a leading B axis."""
 
     order: int
     block_dim: int
     centers: np.ndarray
     cov: BlockCovariance
-    t: float
+    t: float | np.ndarray
     chol: np.ndarray
-    chol_shift: float
+    chol_shift: float | np.ndarray
     chol_inv: np.ndarray
     white_centers: np.ndarray
 
     @property
     def n_components(self) -> int:
-        return self.centers.shape[0]
+        return self.centers.shape[-2]
 
 
 def mixture_at(
@@ -96,7 +108,7 @@ def mixture_at(
     params: HoldParams,
     sigma0: BlockCovariance,
     policy: AuxPolicy,
-    t: float,
+    t,
 ) -> EmpiricalMixture:
     """Time-t empirical mixture: centers exp(Ft) u0^(k), covariance Sigma_t."""
     if dataset.n_train == 0:
@@ -104,9 +116,9 @@ def mixture_at(
     n, h = params.order, dataset.h
     lifted = dataset.lifted(params, policy)
     e = expm_at(params, t)
-    centers = kron_apply(e, lifted, h)
+    centers = kron_apply(e[..., None, :, :], lifted, h)
     cov = covariance_at(params, sigma0, t)
-    factor, shift = cholesky_block(cov)
+    factor, shift = (cholesky_stack if np.ndim(t) else cholesky_block)(cov)
     inv = np.linalg.inv(factor)
     return EmpiricalMixture(
         order=n,
@@ -117,7 +129,7 @@ def mixture_at(
         chol=factor,
         chol_shift=shift,
         chol_inv=inv,
-        white_centers=kron_apply(inv, centers, h),
+        white_centers=kron_apply(inv[..., None, :, :], centers, h),
     )
 
 
@@ -139,7 +151,7 @@ def _log_weights(mix: EmpiricalMixture, u):
     """
     batch, single = _as_batch(mix, u)
     y = kron_apply(mix.chol_inv, batch, mix.block_dim)
-    diffs = y[:, None, :] - mix.white_centers[None, :, :]
+    diffs = y[:, None, :] - mix.white_centers
     lw = -0.5 * np.einsum("bkj,bkj->bk", diffs, diffs)
     m = lw.max(axis=1)
     return y, lw - m[:, None], m, single
@@ -170,8 +182,10 @@ def score_full(mix: EmpiricalMixture, u) -> np.ndarray:
     y, lw, _, single = _log_weights(mix, u)
     w = np.exp(lw)
     w /= w.sum(axis=1, keepdims=True)
-    resid = w @ mix.white_centers - y
-    out = kron_apply(mix.chol_inv.T, resid, mix.block_dim)
+    white = mix.white_centers
+    # A shared time keeps one (B, N) @ (N, n*h) GEMM.
+    mean = w @ white if white.ndim == 2 else (w[:, None, :] @ white)[:, 0]
+    out = kron_apply(mix.chol_inv.swapaxes(-1, -2), mean - y, mix.block_dim)
     return out[0] if single else out
 
 
@@ -190,12 +204,14 @@ def empirical_score_fn(
 ):
     """Callback (u, t) -> last-block score of the time-t empirical mixture.
 
-    Keeps the mixtures of the last two times: a Heun step starts where the
-    previous one ended, so each grid time is built once.
+    Keeps the mixtures of the last two scalar times: a Heun step starts
+    where the previous one ended, so each grid time is built once.
     """
     memo: dict[float, EmpiricalMixture] = {}
 
     def fn(u, t):
+        if np.ndim(t):
+            return score_last_block(mixture_at(dataset, params, sigma0, policy, t), u)
         mix = memo.get(t)
         if mix is None:
             mix = mixture_at(dataset, params, sigma0, policy, t)
@@ -205,16 +221,6 @@ def empirical_score_fn(
         return score_last_block(mix, u)
 
     return fn
-
-
-def loss_weight(params: HoldParams, sigma0: BlockCovariance, t: float) -> float:
-    """Bottom-right entry of the block Cholesky factor of Sigma_t.
-
-    By the Kronecker structure this equals the (nh, nh) entry of the full
-    factor, the noise scale multiplying the score in the training loss.
-    """
-    factor, _ = cholesky_block(covariance_at(params, sigma0, t))
-    return float(factor[-1, -1])
 
 
 def mc_loss(
@@ -232,23 +238,29 @@ def mc_loss(
     Each sample draws t ~ U(t_min, 1), a training point, and a full noise
     vector; w_t is the bottom-right entry of the block Cholesky factor.
     Deterministic given ``rng_seed`` (one stream, fixed consumption order),
-    so different score functions compare on matched noise.
+    so different score functions compare on matched noise.  ``score_fn``
+    gets blocks of samples with their (B,) times; an (h,) return is
+    broadcast over the block.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     n, h = params.order, dataset.h
     lifted = dataset.lifted(params, policy)
     rng = np.random.default_rng(rng_seed)
+    times, picks = np.empty(n_mc), np.empty(n_mc, dtype=int)
+    noise = np.empty((n_mc, n * h))
+    for i in range(n_mc):
+        times[i] = rng.uniform(t_min, 1.0)
+        picks[i] = rng.integers(dataset.n_train)
+        noise[i] = rng.standard_normal(n * h)
     total = 0.0
-    for _ in range(n_mc):
-        t = rng.uniform(t_min, 1.0)
-        k = int(rng.integers(dataset.n_train))
-        eps = rng.standard_normal(n * h)
-        e = expm_at(params, t)
-        cov = covariance_at(params, sigma0, t)
-        factor, _ = cholesky_block(cov)
-        u_t = kron_apply(e, lifted[k], h) + kron_apply(factor, eps, h)
-        s = np.asarray(score_fn(u_t, t), dtype=float).reshape(-1)
-        resid = eps[-h:] + s * factor[-1, -1]
-        total += float(resid @ resid)
+    for lo in range(0, n_mc, _MC_BLOCK):
+        block = slice(lo, lo + _MC_BLOCK)
+        t, eps = times[block], noise[block]
+        factor, _ = cholesky_stack(covariance_at(params, sigma0, t))
+        u_t = kron_apply(expm_at(params, t), lifted[picks[block]], h)
+        u_t += kron_apply(factor, eps, h)
+        s = np.broadcast_to(np.asarray(score_fn(u_t, t), dtype=float), (len(t), h))
+        resid = eps[:, -h:] + s * factor[:, -1:, -1]
+        total += float(np.einsum("bj,bj->", resid, resid))
     return total / n_mc

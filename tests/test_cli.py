@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from holdlab.cli import main
 
@@ -146,6 +147,13 @@ class TestCollapseCommand:
         assert abs(table[(2, 1e-2)] - 0.75) <= 0.02
         assert table[(1, 1e-2)] <= 1e-2
         assert table[(3, 1e-2)] > table[(2, 1e-2)]
+
+    @pytest.mark.parametrize("xi", ["0", "-1"])
+    def test_bad_friction_exits_2(self, tmp_path, capsys, xi):
+        out = tmp_path / "collapse.csv"
+        assert main(["collapse", "--ou-xi", xi, "--out", str(out)]) == 2
+        assert "friction" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGenerateCommand:
@@ -435,6 +443,21 @@ class TestTheoremCheckCommand:
             ["theorem1-check", "--forcings", "warble:3", "--out", str(tmp_path / "x")]
         )
         assert code == 2
+
+    def test_bad_forcing_value_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["theorem1-check", "--forcings", "sin:abc", "--out", str(tmp_path / "x")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("xi", ["0", "-1"])
+    def test_bad_friction_exits_2(self, tmp_path, capsys, xi):
+        out = tmp_path / "theorem1.csv"
+        assert main(["theorem1-check", "--ou-xi", xi, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "friction" in err
+        assert not out.exists()
 
 
 class TestEnvSeed:

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 
 import holdlab
-from holdlab import core, filters, sampler, score
+from holdlab import core, filters, metrics, sampler, score
 from holdlab import (
     BlockMatrix,
     HoldParams,
@@ -204,6 +204,16 @@ class TestMatrixExponential:
         bound = 1e-10 * max(1.0, np.linalg.norm(f.entries) ** n)
         assert np.linalg.norm(power) <= bound
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_vector_times_equal_scalar_calls(self, n):
+        # Same products in the same order per slice, math.exp per time:
+        # every slice equals the scalar call to 0 ulp.
+        p = HoldParams(1, (), 1.5, 1.0) if n == 1 else critically_damped_params(n)
+        times = np.geomspace(1e-3, 10.0, 41)
+        stack = expm_at(p, times)
+        assert stack.shape == (41, n, n)
+        assert np.array_equal(stack, np.stack([expm_at(p, float(t)) for t in times]))
+
     def test_rejects_non_critical(self):
         p = critically_damped_params(2)
         off = HoldParams(order=2, gammas=p.gammas, xi=1.1 * p.xi, l_inv=1.0)
@@ -262,6 +272,15 @@ class TestStateAndKron:
         dense = batch @ np.kron(mat, np.eye(2)).T
         assert np.allclose(kron_apply(mat, batch, 2), dense, atol=1e-12, rtol=0)
 
+    def test_kron_apply_stacked_matrices(self):
+        # A (B, n, n) stack applies row b's matrix to row b of the batch.
+        rng = np.random.default_rng(8)
+        mats = rng.standard_normal((5, 3, 3))
+        data = rng.standard_normal((5, 6))
+        got = kron_apply(mats, data, 2)
+        want = np.stack([kron_apply(m, d, 2) for m, d in zip(mats, data)])
+        assert np.array_equal(got, want)
+
     def test_blockmatrix_matvec(self):
         f = build_forward_matrix(critically_damped_params(2))
         u = LiftedState.from_blocks([1.0, 0.0], [0.0, 2.0])
@@ -288,6 +307,8 @@ class TestPublicApi:
         "ou_reverse_sde_generate",
         "Trajectory",
         "DivergenceError",
+        "loss_weight",
+        "mahalanobis_sq",
     )
 
     def test_all_is_unique_and_resolves(self):
@@ -297,7 +318,7 @@ class TestPublicApi:
             assert getattr(holdlab, name) is not None
 
     def test_removed_names_are_gone(self):
-        modules = [holdlab, core, filters, score, sampler]
+        modules = [holdlab, core, filters, metrics, score, sampler]
         for name in self.REMOVED:
             assert name not in holdlab.__all__
             assert not any(hasattr(m, name) for m in modules), name

@@ -180,6 +180,16 @@ class TestNaturalResponse:
         for t in (0.0, 0.5, 3.0):
             assert natural_response(params, u0, t)[0] == 0.0
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_vector_times_equal_single_times(self, n):
+        params = critically_damped_params(n)
+        u0 = LiftedState(n, 2, np.random.default_rng(n).standard_normal(2 * n))
+        times = np.linspace(0.0, 5.0, 101)
+        got = natural_response(params, u0, times)
+        want = np.stack([natural_response(params, u0, float(t)) for t in times])
+        assert got.shape == (101, 2)
+        assert np.array_equal(got, want)
+
     def test_matches_zero_score_flow(self):
         params = critically_damped_params(2)
         grid = TimeGrid(t_start=1.0, t_end=0.2, steps=2000)

@@ -17,10 +17,12 @@ from holdlab import (
     covariance_at,
     critically_damped_params,
     initial_covariance,
+    kron_apply,
     lift_data,
     sample_forward,
 )
 from holdlab.core import expm_at
+from holdlab.forward import cholesky_stack
 
 
 def zero_cov(n):
@@ -143,6 +145,64 @@ class TestCholeskyBlock:
             cholesky_block(cov)
 
 
+class TestTimeStack:
+    """A (T,) array of times gives the stack of single-time results, slice
+    for slice to 0 ulp, floors included."""
+
+    @pytest.mark.parametrize("policy", [FixedPerSample(seed=0), Marginalized()])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_covariance_and_factor_match_single_times(self, n, policy):
+        p = HoldParams(1, (), 1.5, 1.0) if n == 1 else critically_damped_params(n)
+        s0 = initial_covariance(p, policy)
+        times = np.geomspace(1e-3, 10.0, 41)
+        stack = covariance_at(p, s0, times)
+        factor, delta = cholesky_stack(stack)
+        assert stack.small.shape == factor.shape == (41, n, n)
+        assert delta.shape == (41,)
+        for i, t in enumerate(times):
+            cov = covariance_at(p, s0, float(t))
+            want_factor, want_delta = cholesky_block(cov)
+            assert np.array_equal(stack.small[i], cov.small)
+            assert np.array_equal(factor[i], want_factor)
+            assert delta[i] == want_delta
+
+    def test_floors_fall_on_the_same_slices(self):
+        # Order 4 at t = 1e-3 needs a floor (ROADMAP item 1); t >= 0.5 does not.
+        p = critically_damped_params(4)
+        s0 = initial_covariance(p, FixedPerSample(seed=0))
+        want_factor, want = cholesky_block(covariance_at(p, s0, 1e-3))
+        assert want > 0.0
+        times = np.array([1.0, 1e-3, 0.5, 1e-3, 2.0])
+        factor, delta = cholesky_stack(covariance_at(p, s0, times))
+        assert delta.tolist() == [0.0, want, 0.0, want, 0.0]
+        assert np.array_equal(factor[1], want_factor)
+        assert np.array_equal(factor[3], want_factor)
+
+    def test_floor_amount_is_per_slice(self):
+        # The default floor scales with each block's own largest diagonal.
+        small = np.stack([np.eye(2), np.zeros((2, 2)), np.diag([4.0, 0.0])])
+        cov = BlockCovariance(order=2, small=small, t=np.array([1.0, 0.0, 2.0]))
+        _, delta = cholesky_stack(cov)
+        want = [cholesky_block(BlockCovariance(2, m, 1.0))[1] for m in small]
+        assert delta.tolist() == want == [0.0, 1e-12, 4e-12]
+
+    def test_indefinite_slice_names_its_time(self):
+        small = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
+        cov = BlockCovariance(order=2, small=small, t=np.array([0.5, 0.75]))
+        with pytest.raises(NotPositiveSemidefiniteError, match="t=0.75"):
+            cholesky_stack(cov)
+
+    def test_shapes_validated(self):
+        p = critically_damped_params(2)
+        stack = covariance_at(p, zero_cov(2), np.array([0.5, 1.0]))
+        with pytest.raises(ValueError):
+            cholesky_block(stack)
+        with pytest.raises(ValueError):
+            BlockCovariance(order=2, small=stack.small, t=0.5)
+        with pytest.raises(ValueError):
+            covariance_at(p, zero_cov(2), np.array([0.5, -0.1]))
+
+
 class TestSampleForward:
     def test_t_zero_point_mass_exact(self):
         p = critically_damped_params(2)
@@ -166,12 +226,7 @@ class TestSampleForward:
         u0 = LiftedState(2, 1, np.array([1.0, -0.5]))
         t = 1.0
         n_draws = 100_000
-        draws = np.stack(
-            [
-                sample_forward(u0, p, s0, t, rng_seed=[555, i]).data
-                for i in range(n_draws)
-            ]
-        )
+        draws = sample_forward(u0, p, s0, np.full(n_draws, t), rng_seed=555)
         e = expm_at(p, t)
         mean_want = e @ u0.data
         cov_want = covariance_at(p, s0, t).small
@@ -180,6 +235,24 @@ class TestSampleForward:
             assert abs(draws[:, j].mean() - mean_want[j]) <= tol
         cov_got = np.cov(draws, rowvar=False)
         assert np.abs(cov_got - cov_want).max() <= 0.05 * np.abs(cov_want).max()
+
+    def test_vector_times(self):
+        # One (T, n*h) noise block from the seed; zero-covariance rows are
+        # the mean; every other row is mean + (L_t x I_h) eps_row.
+        p = critically_damped_params(2)
+        u0 = LiftedState.from_blocks([1.0, -2.0], [0.5, 0.25])
+        times = np.array([0.0, 0.3, 1.2])
+        got = sample_forward(u0, p, zero_cov(2), times, rng_seed=9)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got[0], u0.data)
+        eps = np.random.default_rng(9).standard_normal((3, 4))
+        for i in (1, 2):
+            t = float(times[i])
+            factor, _ = cholesky_block(covariance_at(p, zero_cov(2), t))
+            want = kron_apply(expm_at(p, t), u0.data, 2) + kron_apply(factor, eps[i], 2)
+            assert np.array_equal(got[i], want)
+        with pytest.raises(ValueError):
+            sample_forward(u0, p, zero_cov(2), np.array([0.1, -0.1]), rng_seed=9)
 
     def test_kronecker_consistency(self):
         # Sampling at block scale then lifting equals sampling with the dense

@@ -1,4 +1,5 @@
-"""Memorization-metric tests: Fmem, Mahalanobis, determinant ratio, W2."""
+"""Memorization-metric tests: Fmem, block Mahalanobis distances, determinant
+ratio, W2."""
 
 import math
 
@@ -8,11 +9,11 @@ import pytest
 from holdlab import (
     BlockCovariance,
     LiftedState,
+    cholesky_block,
     collapse_curve,
     det_ratio,
     fmem,
     gaussian_w2,
-    mahalanobis_sq,
 )
 from holdlab.metrics import _log_det_noise_cov
 
@@ -108,6 +109,15 @@ class TestFmem:
         assert 0.0 <= rep.ci_low <= rep.fraction <= rep.ci_high <= 1.0
 
 
+def mahalanobis_sq(u: LiftedState, mean: LiftedState, cov: BlockCovariance) -> float:
+    """Squared Mahalanobis distance at block scale by a triangular solve
+    against the block Cholesky factor."""
+    factor, _ = cholesky_block(cov)
+    diff = (u.data - mean.data).reshape(cov.order, u.block_dim)
+    y = np.linalg.solve(factor, diff)
+    return float((y * y).sum())
+
+
 class TestMahalanobisSq:
     def test_zero_at_mean(self):
         cov = BlockCovariance(order=2, small=np.array([[2.0, 0.3], [0.3, 1.0]]), t=1.0)
@@ -172,6 +182,12 @@ class TestDetRatio:
 
     def test_first_order_custom_xi(self):
         assert det_ratio(1, 0.5, xi=2.0) == pytest.approx(math.tanh(0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("xi", [0.0, -1.0])
+    def test_nonpositive_friction_rejected(self, xi):
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="friction"):
+                det_ratio(n, 0.5, xi=xi)
 
     def test_n3_cubic_divergence_rate(self):
         t = 1e-2

@@ -17,9 +17,9 @@ from holdlab import (
     covariance_at,
     critically_damped_params,
     empirical_score_fn,
+    cholesky_block,
     initial_covariance,
     kron_apply,
-    loss_weight,
     mc_loss,
     mixture_at,
     pf_ode_endpoints,
@@ -210,6 +210,12 @@ class TestOuScore:
             assert abs(got[0]) <= 1e-12
 
 
+def loss_weight(params, sigma0, t):
+    """Bottom-right entry of the block Cholesky factor of Sigma_t: by the
+    Kronecker structure the noise scale multiplying the score in the loss."""
+    return cholesky_block(covariance_at(params, sigma0, t))[0][-1, -1]
+
+
 class TestLossWeight:
     def test_order1_closed_form(self):
         p = ou_params(xi=2.0, l_inv=0.5)
@@ -236,6 +242,36 @@ class TestLossWeight:
         assert abs(got - math.sqrt(t)) <= 1e-3 * math.sqrt(t)
         weights = [loss_weight(p, s0, tt) for tt in (1e-2, 1e-3, 1e-4)]
         assert weights[0] > weights[1] > weights[2] > 0.0
+
+
+def mc_loss_loop(score_fn, dataset, params, sigma0, policy, n_mc, rng_seed):
+    """The per-sample loss loop mc_loss replaced: one draw, one single-time
+    factor and one single-point score call per sample.  Returns the loss
+    and the number of samples whose factor was floored."""
+    n, h = params.order, dataset.h
+    lifted = dataset.lifted(params, policy)
+    rng = np.random.default_rng(rng_seed)
+    total, floored = 0.0, 0
+    for _ in range(n_mc):
+        t = rng.uniform(T_EPS, 1.0)
+        k = int(rng.integers(dataset.n_train))
+        eps = rng.standard_normal(n * h)
+        e = expm_at(params, t)
+        factor, delta = cholesky_block(covariance_at(params, sigma0, t))
+        floored += delta > 0
+        u_t = kron_apply(e, lifted[k], h) + kron_apply(factor, eps, h)
+        s = np.asarray(score_fn(u_t, t), dtype=float).reshape(-1)
+        resid = eps[-h:] + s * factor[-1, -1]
+        total += float(resid @ resid)
+    return total / n_mc, floored
+
+
+def criterion07_setup(n):
+    """Dataset, params, sigma0 and policy of acceptance criterion 07."""
+    ds = Dataset(np.random.default_rng(2024).standard_normal((8, 2)) * 3.0)
+    params = ou_params() if n == 1 else critically_damped_params(n)
+    pol = FixedPerSample(seed=77)
+    return ds, params, initial_covariance(params, pol), pol
 
 
 class TestMcLoss:
@@ -274,6 +310,79 @@ class TestMcLoss:
         base = mc_loss(opt, ds, params, s0, pol, 10_000, 11)
         worse = mc_loss(shifted, ds, params, s0, pol, 10_000, 11)
         assert base < worse
+
+
+class TestMcLossBlocks:
+    """The blocked loss against the per-sample loop, on the same draws.
+
+    Bound: 1e-12 relative.  Inputs, factors and states are bit-identical
+    to the loop's; only the kernel's batch shape and the summation order
+    differ.
+    """
+
+    BLOCK = score_module._MC_BLOCK
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_criterion07_setups(self, n):
+        ds, params, s0, pol = criterion07_setup(n)
+        opt = empirical_score_fn(ds, params, s0, pol)
+        shift = np.array([0.06, -0.08])
+        for fn in (opt, lambda u, t: opt(u, t) + shift):
+            got = mc_loss(fn, ds, params, s0, pol, 2 * self.BLOCK + 37, rng_seed=501)
+            want, _ = mc_loss_loop(fn, ds, params, s0, pol, 2 * self.BLOCK + 37, 501)
+            assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n_mc", [1, BLOCK - 1, BLOCK + 1])
+    def test_order4_with_floors(self, n_mc):
+        ds, params, s0, pol = criterion07_setup(4)
+        opt = empirical_score_fn(ds, params, s0, pol)
+        fn = lambda u, t: opt(u, t) + np.array([0.06, -0.08])
+        got = mc_loss(fn, ds, params, s0, pol, n_mc, rng_seed=502)
+        want, floored = mc_loss_loop(fn, ds, params, s0, pol, n_mc, 502)
+        assert abs(got - want) <= 1e-12 * want
+        if n_mc > 1:
+            assert floored > 0
+
+    def test_callback_sees_batches_of_times(self):
+        ds, params, s0, pol = criterion07_setup(2)
+        seen = []
+
+        def fn(u, t):
+            seen.append((u.shape, t.shape))
+            return np.zeros(2)
+
+        mc_loss(fn, ds, params, s0, pol, self.BLOCK + 5, rng_seed=3)
+        assert seen == [((self.BLOCK, 4), (self.BLOCK,)), ((5, 4), (5,))]
+
+
+class TestBatchedTimes:
+    """A (B,) array of times: row b is scored against the time-t[b] mixture."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_match_single_time_mixtures(self, n):
+        params = ou_params() if n == 1 else critically_damped_params(n)
+        pol = FixedPerSample(seed=4)
+        rng = np.random.default_rng(60 + n)
+        ds = Dataset(2.0 * rng.standard_normal((6, 2)))
+        s0 = initial_covariance(params, pol)
+        times = np.array([T_EPS, 1e-2, 0.3, 1.0, 1e-2])
+        mix = mixture_at(ds, params, s0, pol, times)
+        assert mix.n_components == 6
+        assert mix.white_centers.shape == (5, 6, 2 * n)
+        u = mix.centers[:, 1] + kron_apply(mix.chol, rng.standard_normal((5, 2 * n)), 2)
+        score, w = score_full(mix, u), responsibilities(mix, u)
+        logp = log_density_shifted(mix, u)
+        for b, t in enumerate(times):
+            one = mixture_at(ds, params, s0, pol, float(t))
+            assert np.array_equal(mix.chol[b], one.chol)
+            assert np.array_equal(mix.white_centers[b], one.white_centers)
+            assert mix.chol_shift[b] == one.chol_shift
+            want = score_full(one, u[b])
+            assert np.abs(score[b] - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(w[b] - responsibilities(one, u[b])).max() <= 1e-12
+            assert abs(logp[b] - log_density_shifted(one, u[b])) <= 1e-12 * max(
+                1.0, abs(logp[b])
+            )
 
 
 class TestResponsibilityCollapse:
@@ -387,6 +496,28 @@ class TestScoreMemo:
             u = rng.standard_normal((5, 6))
             fresh = score_last_block(mixture_at(ds, params, s0, pol, t), u)
             assert np.array_equal(fn(u, t), fresh)
+
+    def test_array_times_bypass_memo(self, monkeypatch):
+        # An array-time call builds its own mixture and leaves the memo of
+        # scalar times alone.
+        ds, params, s0, pol = self._setup()
+        real = score_module.mixture_at
+        built = []
+
+        def counting(*args):
+            built.append(np.ndim(args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(score_module, "mixture_at", counting)
+        fn = empirical_score_fn(ds, params, s0, pol)
+        u = np.random.default_rng(2).standard_normal((3, 6))
+        times = np.array([0.2, 0.4, 0.6])
+        for t in (1.0, 0.5, times, 1.0, 0.5, times):
+            fn(u, t)
+        assert built == [0, 0, 1, 1]
+        singles = [real(ds, params, s0, pol, t) for t in times]
+        want = np.stack([score_last_block(m, row) for m, row in zip(singles, u)])
+        assert np.abs(fn(u, times) - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("method, builds", [("heun", 41), ("euler", 40)])
     def test_one_build_per_grid_time(self, monkeypatch, method, builds):
