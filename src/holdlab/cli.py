@@ -152,10 +152,17 @@ def cmd_filter(args) -> int:
 
 
 def cmd_collapse(args) -> int:
-    t_grid = np.logspace(
-        math.log10(args.t_min), math.log10(args.t_max), args.t_points
-    )
     try:
+        if not (0.0 < args.t_min < math.inf and 0.0 < args.t_max < math.inf):
+            raise ValueError(
+                f"--t-min and --t-max must be positive and finite, "
+                f"got {args.t_min} and {args.t_max}"
+            )
+        if args.t_points < 1:
+            raise ValueError(f"--t-points must be at least 1, got {args.t_points}")
+        t_grid = np.logspace(
+            math.log10(args.t_min), math.log10(args.t_max), args.t_points
+        )
         table = collapse_curve(args.orders, t_grid, xi=args.ou_xi)
     except (ValueError, HoldLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -323,9 +330,19 @@ def _forcing_values(spec: str, times: np.ndarray) -> np.ndarray:
 
 
 def cmd_theorem1_check(args) -> int:
-    times = np.linspace(0.0, args.t_max, args.steps + 1)
-    try:  # an unknown forcing (ConfigError) or a nonpositive friction
-        forcings = [(spec, _forcing_values(spec, times)) for spec in args.forcings]
+    # A degenerate grid, no forcing, an unknown forcing (ConfigError) or a
+    # nonpositive friction is a usage error.
+    try:
+        if args.steps < 1 or not 0.0 < args.t_max < math.inf:
+            raise ValueError(
+                f"need --steps >= 1 and a positive finite --t-max, "
+                f"got {args.steps} and {args.t_max}"
+            )
+        if not args.forcings:
+            raise ValueError("--forcings names no forcing")
+        times = np.linspace(0.0, args.t_max, args.steps + 1)
+        # The forcings are the columns of one (T, F) block.
+        forcings = np.stack([_forcing_values(spec, times) for spec in args.forcings], 1)
         ou_params = HoldParams(order=1, gammas=(), xi=args.ou_xi, l_inv=1.0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -339,20 +356,29 @@ def cmd_theorem1_check(args) -> int:
         u0 = LiftedState(n, 1, np.array([1.0] + [0.5] * (n - 1)))
         cases.append((f"hold{n}", params, u0))
 
+    # Zero forcing: the exact solution is the natural response, which the
+    # reconstruction reproduces identically, so only the other columns need
+    # the ODE oracle.
+    live = forcings.any(axis=0)
     rows: list[list] = []
     worst = 0.0
     for label, params, u0 in cases:
         spec = HoldFilter.from_params(params)
-        for fname, fvals in forcings:
-            recon = convolution_reconstruct(spec, params, u0, fvals, times)
-            if not fvals.any():
-                # Zero forcing: the exact solution is the natural response,
-                # which the reconstruction reproduces identically.
-                oracle = recon
-            else:
-                oracle = forced_ode_positions(params, u0, fvals, times)
-            scale = float(np.linalg.norm(oracle))
-            err = float(np.linalg.norm(recon - oracle)) / max(scale, 1e-30)
+        n, width = params.order, forcings.shape[1]
+        stacked = LiftedState(n, width, np.repeat(u0.data, width))
+        recon = convolution_reconstruct(spec, params, stacked, forcings, times)
+        oracle = recon.copy()
+        if live.any():
+            count = int(live.sum())
+            oracle[:, live] = forced_ode_positions(
+                params,
+                LiftedState(n, count, np.repeat(u0.data, count)),
+                forcings[:, live],
+                times,
+            )
+        for fname, rec, ora in zip(args.forcings, recon.T, oracle.T):
+            scale = float(np.linalg.norm(ora))
+            err = float(np.linalg.norm(rec - ora)) / max(scale, 1e-30)
             worst = max(worst, err)
             rows.append([label, fname, err])
     out = Path(args.out)

@@ -12,7 +12,11 @@ scripted (state-independent) forcing the position solves
     x(t) = (kernel * forcing)(t) + natural(t),
 
 which this module verifies by discrete convolution against direct ODE
-integration.
+integration.  Both take a uniform ascending grid and stack h forcings as the
+columns of one lifted state.  The ODE oracle is classical RK4, which on this
+linear time-invariant system is one affine map per step: the step matrix and
+the three forcing gains are built once, and the loop is one small matrix
+product per step.
 """
 
 from __future__ import annotations
@@ -107,6 +111,28 @@ def natural_response(params: HoldParams, u0: LiftedState, t) -> np.ndarray:
     return (e[..., :1, :] @ u0.data.reshape(params.order, u0.block_dim))[..., 0, :]
 
 
+def _grid_forcing(
+    times: np.ndarray, forcing: np.ndarray, h: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Check a forcing sampled on a uniform ascending grid: returns the grid,
+    the forcing as (T, h) and the step; ValueError on any other grid."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.shape[0] < 2:
+        raise ValueError("times must be a 1-D grid with at least two points")
+    dt = np.diff(times)
+    step = float(dt[0])
+    if not step > 0:
+        raise ValueError(f"grid step must be positive, got {step}")
+    if not np.allclose(dt, step, rtol=1e-9, atol=1e-12):
+        raise ValueError("times must be a uniform grid")
+    forcing = np.asarray(forcing, dtype=float)
+    if forcing.ndim == 1:
+        forcing = forcing[:, None]
+    if forcing.shape != (times.shape[0], h):
+        raise ValueError("forcing must be sampled on the grid with h columns")
+    return times, forcing, step
+
+
 def convolution_reconstruct(
     spec: HoldFilter,
     params: HoldParams,
@@ -120,21 +146,10 @@ def convolution_reconstruct(
     grid starting at 0; shape (T,) or (T, h).  The causal convolution uses
     trapezoidal weights.  Returns the reconstructed positions, shape (T, h).
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.shape[0] < 2:
-        raise ValueError("times must be a 1-D grid with at least two points")
-    dt = np.diff(times)
-    if not np.allclose(dt, dt[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("convolution requires a uniform grid")
+    h = u0.block_dim
+    times, forcing, step = _grid_forcing(times, forcing, h)
     if abs(times[0]) > 1e-12:
         raise ValueError("grid must start at t = 0")
-    step = float(dt[0])
-    h = u0.block_dim
-    forcing = np.asarray(forcing, dtype=float)
-    if forcing.ndim == 1:
-        forcing = forcing[:, None]
-    if forcing.shape != (times.shape[0], h):
-        raise ValueError("forcing must be sampled on the grid with h columns")
 
     kernel = impulse_response(spec, times)
     nt = times.shape[0]
@@ -157,35 +172,46 @@ def forced_ode_positions(
 ) -> np.ndarray:
     """Direct integration oracle for the scripted-forcing linear system.
 
-    Solves du = (F u - xi l_inv vec(0, s(t))) dt forward on the grid with
-    classical fourth-order Runge-Kutta (forcing linearly interpolated at
-    half steps) and returns the positions, shape (T, h).
+    Solves du = (F u - xi l_inv vec(0, s(t))) dt forward on ``times``, a
+    uniform ascending grid, with classical fourth-order Runge-Kutta (forcing
+    linearly interpolated at half steps) and returns the positions, shape
+    (T, h).  One RK4 step is the affine map
+
+        y <- P y + g0 f_k + gm f_{k+1/2} + g1 f_{k+1}
+
+    on the (n, h) block; P and the gains come from one step of the
+    four-stage formula applied to I_n and to unit forcings.
     """
-    times = np.asarray(times, dtype=float)
-    forcing = np.asarray(forcing, dtype=float)
-    if forcing.ndim == 1:
-        forcing = forcing[:, None]
     n, h = params.order, u0.block_dim
+    times, forcing, step = _grid_forcing(times, forcing, h)
     fmat = build_forward_matrix(params).entries
     gain = params.xi * params.l_inv
 
     def rhs(state, force_val):
-        out = (fmat @ state.reshape(n, h)).reshape(n * h)
-        out[-h:] -= gain * force_val
+        out = fmat @ state
+        out[-1] -= gain * force_val
         return out
 
-    y = u0.data.copy()
+    # Columns [I_n | 0 0 0] driven by the unit forcings of (f_k, f_{k+1/2},
+    # f_{k+1}) step to [P | g0 | gm | g1].
+    y = np.eye(n, n + 3)
+    f0, fm, f1 = np.eye(3, n + 3, k=n)
+    k1 = rhs(y, f0)
+    k2 = rhs(y + 0.5 * step * k1, fm)
+    k3 = rhs(y + 0.5 * step * k2, fm)
+    k4 = rhs(y + step * k3, f1)
+    step_map = y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    prop = step_map[:, :n]
+    g0, gm, g1 = step_map[:, n:].T[..., None]  # (n, 1) columns
+
+    half = 0.5 * (forcing[:-1] + forcing[1:])
+    drive = (
+        g0 * forcing[:-1, None, :] + gm * half[:, None, :] + g1 * forcing[1:, None, :]
+    )
+    y = u0.data.reshape(n, h)
     positions = np.empty((times.shape[0], h))
-    positions[0] = y[:h]
+    positions[0] = y[0]
     for k in range(times.shape[0] - 1):
-        dt = float(times[k + 1] - times[k])
-        f0 = forcing[k]
-        f1 = forcing[k + 1]
-        fm = 0.5 * (f0 + f1)
-        k1 = rhs(y, f0)
-        k2 = rhs(y + 0.5 * dt * k1, fm)
-        k3 = rhs(y + 0.5 * dt * k2, fm)
-        k4 = rhs(y + dt * k3, f1)
-        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        positions[k + 1] = y[:h]
+        y = prop @ y + drive[k]
+        positions[k + 1] = y[0]
     return positions

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,9 +80,32 @@ def fmem(generated, train, tau: float = 0.333) -> FmemReport:
     )
 
 
+@lru_cache(maxsize=64)
+def _series_vectors(n: int, depth: int) -> np.ndarray:
+    """(depth, n) stack of F^j e_n / j! for the critically damped order-n
+    drift; cached and read-only."""
+    fmat = build_forward_matrix(critically_damped_params(n)).entries
+    vecs = np.zeros((depth, n))
+    vecs[0, -1] = 1.0
+    for j in range(1, depth):
+        vecs[j] = fmat @ vecs[j - 1] / j
+    vecs.flags.writeable = False
+    return vecs
+
+
+def _gram_series(vecs: np.ndarray, t: float) -> np.ndarray:
+    """sum_{j,k} v_j v_k^T t^{j+k+1} / (j+k+1) over the rows v_j of ``vecs``,
+    as one Gram product V^T H V with H[j, k] = t^{j+k+1} / (j+k+1)."""
+    depth = vecs.shape[0]
+    power = np.arange(1, 2 * depth)
+    hankel = (t**power / power)[np.add.outer(np.arange(depth), np.arange(depth))]
+    return vecs.T @ hankel @ vecs
+
+
 def _noise_covariance_series(n: int, t: float) -> np.ndarray:
     """Sigma_t = integral of exp(F tau) G G^T exp(F tau)^T for zero Sigma_0,
-    l_inv = 1, as a truncated Taylor series in t.
+    l_inv = 1, as a truncated Taylor series in t: the Gram series of the
+    vectors F^j e_n / j!.
 
     Entries come out with full relative precision for small ||F|| t, which
     the direct I - E E^T form cannot deliver (it subtracts O(1) terms).
@@ -90,18 +114,7 @@ def _noise_covariance_series(n: int, t: float) -> np.ndarray:
     fmat = build_forward_matrix(params).entries
     norm_ft = float(np.linalg.norm(fmat)) * t
     depth = max(30, int(math.ceil(3.0 * norm_ft)) + 30)
-    vecs = [np.zeros(n)]
-    vecs[0][-1] = 1.0
-    for j in range(1, depth):
-        vecs.append(fmat @ vecs[-1] / j)
-    sig = np.zeros((n, n))
-    for m in range(2 * depth - 1):
-        coeff = np.zeros((n, n))
-        lo, hi = max(0, m - depth + 1), min(m, depth - 1)
-        for j in range(lo, hi + 1):
-            coeff += np.outer(vecs[j], vecs[m - j])
-        sig += coeff * t ** (m + 1) / (m + 1)
-    return 2.0 * params.xi * sig
+    return 2.0 * params.xi * _gram_series(_series_vectors(n, depth), t)
 
 
 def _log_det_noise_cov(n: int, t: float) -> float:

@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from holdlab.cli import main
+from holdlab import (
+    HoldFilter,
+    HoldParams,
+    LiftedState,
+    convolution_reconstruct,
+    critically_damped_params,
+    forced_ode_positions,
+)
+from holdlab.cli import _forcing_values, main
 
 
 def read_csv(path):
@@ -153,6 +161,15 @@ class TestCollapseCommand:
         out = tmp_path / "collapse.csv"
         assert main(["collapse", "--ou-xi", xi, "--out", str(out)]) == 2
         assert "friction" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--t-min", "0"], ["--t-max", "-1"], ["--t-points", "0"]]
+    )
+    def test_degenerate_grid_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "collapse.csv"
+        assert main(["collapse", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
 
@@ -458,6 +475,45 @@ class TestTheoremCheckCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "friction" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--steps", "0"], ["--t-max", "0"], ["--t-max", "-1"], ["--forcings", ","]],
+    )
+    def test_degenerate_grid_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "theorem1.csv"
+        assert main(["theorem1-check", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_stacked_forcings_match_per_forcing_runs(self, tmp_path):
+        # The command evaluates all forcings of a case as the columns of one
+        # state; each row must match a run of that forcing alone.
+        names = ["zero", "sin:3", "const:1", "zero", "exp:1"]
+        out = tmp_path / "t1.csv"
+        argv = ["theorem1-check", "--forcings", ",".join(names), "--steps", "500"]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [r[:2] for r in rows] == [
+            [label, name] for label in ("ou", "hold2", "hold3", "hold4") for name in names
+        ]
+        times = np.linspace(0.0, 5.0, 501)
+        cases = [(HoldParams(order=1, gammas=(), xi=2.0, l_inv=1.0), [1.0])]
+        cases += [(critically_damped_params(n), [1.0] + [0.5] * (n - 1)) for n in (2, 3, 4)]
+        got = iter(float(r[2]) for r in rows)
+        for params, u0 in cases:
+            u0 = LiftedState(params.order, 1, np.array(u0))
+            spec = HoldFilter.from_params(params)
+            for name in names:
+                value = next(got)
+                if name == "zero":
+                    assert value == 0.0
+                    continue
+                forcing = _forcing_values(name, times)
+                recon = convolution_reconstruct(spec, params, u0, forcing, times)
+                oracle = forced_ode_positions(params, u0, forcing, times)
+                want = np.linalg.norm(recon - oracle) / np.linalg.norm(oracle)
+                assert abs(value - want) <= 1e-13
 
 
 class TestEnvSeed:

@@ -272,6 +272,8 @@ class TestConvolutionReconstruct:
         times = np.array([0.0, 0.1, 0.3, 0.35])
         with pytest.raises(ValueError):
             convolution_reconstruct(spec, params, u0, np.zeros(4), times)
+        with pytest.raises(ValueError, match="uniform"):
+            forced_ode_positions(params, u0, np.ones(4), times)
 
     def test_grid_must_start_at_zero(self):
         params = critically_damped_params(2)
@@ -280,3 +282,90 @@ class TestConvolutionReconstruct:
         times = np.linspace(0.5, 1.5, 11)
         with pytest.raises(ValueError):
             convolution_reconstruct(spec, params, u0, np.zeros(11), times)
+
+
+def per_stage_rk4(params, u0, forcing, times):
+    """The per-stage RK4 loop the affine oracle replaced: four right-hand
+    sides per step, a per-step dt and the forcing interpolated at half steps."""
+    forcing = np.asarray(forcing, dtype=float)
+    if forcing.ndim == 1:
+        forcing = forcing[:, None]
+    n, h = params.order, u0.block_dim
+    fmat = build_forward_matrix(params).entries
+    gain = params.xi * params.l_inv
+
+    def rhs(state, force_val):
+        out = (fmat @ state.reshape(n, h)).reshape(n * h)
+        out[-h:] -= gain * force_val
+        return out
+
+    y = u0.data.copy()
+    positions = np.empty((times.shape[0], h))
+    positions[0] = y[:h]
+    for k in range(times.shape[0] - 1):
+        dt = float(times[k + 1] - times[k])
+        f0, f1 = forcing[k], forcing[k + 1]
+        fm = 0.5 * (f0 + f1)
+        k1 = rhs(y, f0)
+        k2 = rhs(y + 0.5 * dt * k1, fm)
+        k3 = rhs(y + 0.5 * dt * k2, fm)
+        k4 = rhs(y + dt * k3, f1)
+        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        positions[k + 1] = y[:h]
+    return positions
+
+
+def order_params(n):
+    if n == 1:
+        return HoldParams(order=1, gammas=(), xi=2.0, l_inv=1.0)
+    return critically_damped_params(n)
+
+
+def sine_forcings(times, h, seed):
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(0.5, 6.0, h)
+    return rng.uniform(0.5, 2.0, h) * np.sin(np.outer(times, freqs))
+
+
+class TestAffineOracle:
+    @pytest.mark.parametrize("steps", [1000, 10_000])
+    @pytest.mark.parametrize("h", [1, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_per_stage_loop(self, n, h, steps):
+        params = order_params(n)
+        times = uniform_grid(steps=steps)
+        rng = np.random.default_rng([70, n, h, steps])
+        u0 = LiftedState(n, h, rng.standard_normal(n * h))
+        forcing = sine_forcings(times, h, [71, n, h])
+        got = forced_ode_positions(params, u0, forcing, times)
+        want = per_stage_rk4(params, u0, forcing, times)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0])
+    def test_nonpositive_step_rejected(self, t_max):
+        params = critically_damped_params(2)
+        spec = HoldFilter.from_params(params)
+        u0 = LiftedState(2, 1, np.array([1.0, 0.0]))
+        times = np.linspace(0.0, t_max, 11)
+        with pytest.raises(ValueError, match="step"):
+            forced_ode_positions(params, u0, np.ones(11), times)
+        with pytest.raises(ValueError, match="step"):
+            convolution_reconstruct(spec, params, u0, np.ones(11), times)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacked_columns_match_single_forcings(self, n):
+        # Stacking forcings as the columns of one lifted state (the
+        # theorem1-check layout) changes no bit of the reconstruction.
+        params = order_params(n)
+        spec = HoldFilter.from_params(params)
+        times = uniform_grid(steps=2000)
+        forcing = sine_forcings(times, 4, [72, n])
+        u0 = np.array([1.0] + [0.5] * (n - 1))
+        stacked = convolution_reconstruct(
+            spec, params, LiftedState(n, 4, np.repeat(u0, 4)), forcing, times
+        )
+        for j in range(4):
+            single = convolution_reconstruct(
+                spec, params, LiftedState(n, 1, u0), forcing[:, j], times
+            )
+            assert np.array_equal(stacked[:, j], single[:, 0])
