@@ -105,10 +105,25 @@ def cmd_params(args) -> int:
     return 0
 
 
+def _log_grid(lo: float, hi: float, points: int, name: str) -> np.ndarray:
+    """np.logspace from lo to hi; ValueError naming the --<name>-* options
+    unless both ends are positive and finite and points >= 1."""
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise ValueError(
+            f"--{name}-min and --{name}-max must be positive and finite, "
+            f"got {lo} and {hi}"
+        )
+    if points < 1:
+        raise ValueError(f"--{name}-points must be at least 1, got {points}")
+    return np.logspace(math.log10(lo), math.log10(hi), points)
+
+
 def cmd_filter(args) -> int:
-    omegas = np.logspace(
-        math.log10(args.omega_min), math.log10(args.omega_max), args.omega_points
-    )
+    try:
+        omegas = _log_grid(args.omega_min, args.omega_max, args.omega_points, "omega")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     ou_params = HoldParams(order=1, gammas=(), xi=1.0, l_inv=1.0)
     specs = [("ou", HoldFilter.from_params(ou_params))]
     for n in args.orders:
@@ -153,16 +168,7 @@ def cmd_filter(args) -> int:
 
 def cmd_collapse(args) -> int:
     try:
-        if not (0.0 < args.t_min < math.inf and 0.0 < args.t_max < math.inf):
-            raise ValueError(
-                f"--t-min and --t-max must be positive and finite, "
-                f"got {args.t_min} and {args.t_max}"
-            )
-        if args.t_points < 1:
-            raise ValueError(f"--t-points must be at least 1, got {args.t_points}")
-        t_grid = np.logspace(
-            math.log10(args.t_min), math.log10(args.t_max), args.t_points
-        )
+        t_grid = _log_grid(args.t_min, args.t_max, args.t_points, "t")
         table = collapse_curve(args.orders, t_grid, xi=args.ou_xi)
     except (ValueError, HoldLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)

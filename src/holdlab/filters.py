@@ -205,9 +205,11 @@ def forced_ode_positions(
     g0, gm, g1 = step_map[:, n:].T[..., None]  # (n, 1) columns
 
     half = 0.5 * (forcing[:-1] + forcing[1:])
-    drive = (
-        g0 * forcing[:-1, None, :] + gm * half[:, None, :] + g1 * forcing[1:, None, :]
-    )
+    drive = np.empty((times.shape[0] - 1, n, h))
+    for row, a, b, c in zip(drive.swapaxes(0, 1), g0, gm, g1):  # (T-1, h) temps
+        np.multiply(a, forcing[:-1], out=row)
+        row += b * half
+        row += c * forcing[1:]
     y = u0.data.reshape(n, h)
     positions = np.empty((times.shape[0], h))
     positions[0] = y[0]

@@ -6,17 +6,18 @@ factored at n x n scale and Kronecker-lifted; the full n*h x n*h covariance
 is never materialized.  Every function also takes a (T,) array of times
 and then works on a (T, n, n) stack whose slices equal the single-time
 results bit for bit; ``cholesky_block`` is the single-time view of
-``cholesky_stack``.
+``cholesky_stack``.  The small-t noise covariance is a cancellation-free sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import HoldParams, LiftedState, expm_at, kron_apply
+from .core import HoldParams, LiftedState, _nilpotent_terms, expm_at, kron_apply
 from .errors import NotPositiveSemidefiniteError
 
 
@@ -72,11 +73,40 @@ def initial_covariance(params: HoldParams, policy: AuxPolicy) -> BlockCovariance
     return BlockCovariance(order=n, small=small, t=0.0)
 
 
+# Natural time units below which the noise covariance is summed by quadrature.
+QUADRATURE_SWITCH = 1.0
+
+
+@lru_cache(maxsize=256)
+def _noise_terms(params: HoldParams) -> tuple:
+    """Cached, read-only ``(s*, coef, nodes, weights, t_switch)``: row k of
+    ``coef`` is a_k = (N^k / k!) e_n, so exp(F tau) e_n = e^{s* tau} sum_k
+    a_k tau^k; the (n + 10)-point Gauss-Legendre rule on [0, 1], weights
+    times 2 xi l_inv; and QUADRATURE_SWITCH units of sqrt(|2n - 3|) / |s*|
+    (1 / xi at order 1).  Below t_switch, x = -2 s* t < 2 sqrt(|2n - 3|) and
+    the rule integrates e^{-x u} u^m, m < 2n - 1, to 1e-23 up to MAX_ORDER."""
+    s_star, terms = _nilpotent_terms(params)
+    n = params.order
+    coef = np.array([term[:, -1] for term in terms])
+    k = np.arange(1.0, n + 10)  # Golub-Welsch: eigenpairs of the Jacobi matrix
+    nodes, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    nodes = 0.5 * (nodes[:, None] + 1.0)  # columns: (m, 1)
+    weights = 2.0 * params.xi * params.l_inv * vecs[:1].T ** 2
+    for arr in (coef, nodes, weights):
+        arr.flags.writeable = False
+    t_switch = QUADRATURE_SWITCH * math.sqrt(abs(2 * n - 3)) / -s_star
+    return s_star, coef, nodes, weights, t_switch
+
+
 def covariance_at(params: HoldParams, sigma0: BlockCovariance, t) -> BlockCovariance:
     """Propagate the block covariance to time t in closed form.
 
-    Sigma_t = exp(Ft) Sigma_0 exp(Ft)^T + l_inv (I - exp(Ft) exp(Ft)^T),
-    the solution of dSigma/dt = F Sigma + (F Sigma)^T + G G^T.
+    Sigma_t = exp(Ft) Sigma_0 exp(Ft)^T + Q_t solves dSigma/dt = F Sigma +
+    (F Sigma)^T + 2 xi l_inv e_n e_n^T.  Below ``QUADRATURE_SWITCH`` natural
+    time units Q_t = 2 xi l_inv int_0^t v v^T dtau, v = exp(F tau) e_n, is a
+    Gauss-Legendre sum of positive multiples of v v^T: full precision as its
+    smallest eigenvalue falls like t^{2n-1}.  Above, Q_t = l_inv (I - E E^T).
+    Each time is computed alone, so it gives the same bits in a stack.
     """
     if (np.asarray(t) < 0).any():
         raise ValueError(f"time must be nonnegative, got {t}")
@@ -85,7 +115,14 @@ def covariance_at(params: HoldParams, sigma0: BlockCovariance, t) -> BlockCovari
     n = params.order
     e = expm_at(params, t)
     e_t = e.swapaxes(-1, -2)
-    small = e @ sigma0.small @ e_t + params.l_inv * (np.eye(n) - e @ e_t)
+    s_star, coef, nodes, weights, t_switch = _noise_terms(params)
+    t_col = np.asarray(t, dtype=float)[..., None, None]
+    tau = t_col * nodes  # (..., m, 1)
+    vecs = tau ** np.arange(n) @ coef  # rows e^{-s* tau} v(tau)
+    vecs *= np.exp(s_star * tau) * np.sqrt(weights * t_col)
+    quad = vecs.swapaxes(-1, -2) @ vecs
+    noise = np.where(t_col < t_switch, quad, params.l_inv * (np.eye(n) - e @ e_t))
+    small = e @ sigma0.small @ e_t + noise
     small = 0.5 * (small + small.swapaxes(-1, -2))
     return BlockCovariance(order=n, small=small, t=t)
 

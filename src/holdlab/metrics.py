@@ -5,24 +5,25 @@ nearest training-distance ratio falls below a threshold; the determinant
 ratio det(I - exp(Ft))^2 / det(I - exp(Ft) exp(Ft)^T) tracks how sharply
 the time-t empirical distribution concentrates on training points as
 t -> 0 (it vanishes for the first-order process, tends to 3/4 at order 2,
-and diverges for higher orders).  A Gaussian 2-Wasserstein fit stands in
-for feature-space quality scores at desk scale.
+and diverges for higher orders); its denominator is the noise covariance of
+``forward.covariance_at``, factored once per array of times.  A Gaussian
+2-Wasserstein fit stands in for feature-space quality scores at desk scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .core import build_forward_matrix, critically_damped_params, expm_at
-
-# Below this time the direct determinant evaluation loses digits to
-# cancellation (the smallest eigenvalue scales like t^{2n-1}); switch to the
-# noise-integral Taylor series with graded rescaling.
-DET_SERIES_SWITCH = 0.05
+from .core import (
+    HoldParams,
+    build_forward_matrix,
+    critically_damped_params,
+    damped_eigenvalue,
+)
+from .forward import BlockCovariance, cholesky_stack, covariance_at
 
 
 @dataclass(frozen=True)
@@ -80,98 +81,48 @@ def fmem(generated, train, tau: float = 0.333) -> FmemReport:
     )
 
 
-@lru_cache(maxsize=64)
-def _series_vectors(n: int, depth: int) -> np.ndarray:
-    """(depth, n) stack of F^j e_n / j! for the critically damped order-n
-    drift; cached and read-only."""
-    fmat = build_forward_matrix(critically_damped_params(n)).entries
-    vecs = np.zeros((depth, n))
-    vecs[0, -1] = 1.0
-    for j in range(1, depth):
-        vecs[j] = fmat @ vecs[j - 1] / j
-    vecs.flags.writeable = False
-    return vecs
-
-
-def _gram_series(vecs: np.ndarray, t: float) -> np.ndarray:
-    """sum_{j,k} v_j v_k^T t^{j+k+1} / (j+k+1) over the rows v_j of ``vecs``,
-    as one Gram product V^T H V with H[j, k] = t^{j+k+1} / (j+k+1)."""
-    depth = vecs.shape[0]
-    power = np.arange(1, 2 * depth)
-    hankel = (t**power / power)[np.add.outer(np.arange(depth), np.arange(depth))]
-    return vecs.T @ hankel @ vecs
-
-
-def _noise_covariance_series(n: int, t: float) -> np.ndarray:
-    """Sigma_t = integral of exp(F tau) G G^T exp(F tau)^T for zero Sigma_0,
-    l_inv = 1, as a truncated Taylor series in t: the Gram series of the
-    vectors F^j e_n / j!.
-
-    Entries come out with full relative precision for small ||F|| t, which
-    the direct I - E E^T form cannot deliver (it subtracts O(1) terms).
-    """
-    params = critically_damped_params(n)
-    fmat = build_forward_matrix(params).entries
-    norm_ft = float(np.linalg.norm(fmat)) * t
-    depth = max(30, int(math.ceil(3.0 * norm_ft)) + 30)
-    return 2.0 * params.xi * _gram_series(_series_vectors(n, depth), t)
-
-
-def _log_det_noise_cov(n: int, t: float) -> float:
-    """log det(I - exp(Ft) exp(Ft)^T) through the graded series route.
-
-    Rows and columns are rescaled by diag(t^{n-1}, ..., t, 1) so the scaled
-    matrix is O(1) and well conditioned; the determinant then factors as
-    t^{n^2} times an O(1) determinant.
-    """
-    sig = _noise_covariance_series(n, t)
-    expo = np.array([n - 1 - i for i in range(n)], dtype=float)
-    scaled = sig / t ** (expo[:, None] + expo[None, :] + 1.0)
-    sign, logdet = np.linalg.slogdet(scaled)
-    if sign <= 0:
-        raise ArithmeticError(f"graded determinant lost positivity at t={t}")
-    return logdet + n * n * math.log(t)
-
-
-def det_ratio(n: int, t: float, xi: float | None = None) -> float:
+def det_ratio(n: int, t, xi: float | None = None):
     """det(I - exp(Ft))^2 / det(I - exp(Ft) exp(Ft)^T) for critical damping.
 
-    n = 1 is the first-order scalar ratio (1 - e^{-xi t})^2 / (1 - e^{-2 xi t})
-    = tanh(xi t / 2), with xi defaulting to 1 and required to be positive
-    (a friction of 0 or below is no diffusion).  For n >= 2 the numerator uses
-    the exact eigenvalue form (1 - e^{s* t})^{2n}; the denominator switches
-    to a cancellation-safe series below t = 0.05 (and whenever the direct
-    determinant loses positivity).
+    n = 1 is the first-order ratio (1 - e^{-xi t})^2 / (1 - e^{-2 xi t})
+    = tanh(xi t / 2), xi defaulting to 1 and required to be positive (a
+    friction of 0 or below is no diffusion); orders >= 2 are critically
+    damped with l_inv = 1.  The numerator is (1 - e^{s* t})^{2n}; the
+    denominator's log is twice the log-diagonal sum of the Cholesky factor
+    of ``covariance_at``.  ``t`` is a positive float or (T,) array, and so
+    is the result.  Raises ``ValueError``, naming the order and time, when
+    the factor needed a floor or the ratio leaves the float range.
     """
-    if t <= 0:
+    times = np.asarray(t, dtype=float)
+    if not (times > 0).all():
         raise ValueError(f"det_ratio needs t > 0, got {t}")
     if n < 1:
         raise ValueError("order must be >= 1")
     if xi is not None and xi <= 0:
         raise ValueError(f"friction xi must be positive, got {xi}")
-    if n == 1:
-        x = (1.0 if xi is None else xi) * t
-        return math.tanh(0.5 * x)
-    params = critically_damped_params(n)
-    s_star = -math.sqrt(2 * n - 3)
-    log_num = 2 * n * math.log(-math.expm1(s_star * t))
-    if t < DET_SERIES_SWITCH:
-        log_den = _log_det_noise_cov(n, t)
-    else:
-        e = expm_at(params, t)
-        m = np.eye(n) - e @ e.T
-        sign, log_den = np.linalg.slogdet(m)
-        if sign <= 0:
-            log_den = _log_det_noise_cov(n, t)
-    return math.exp(log_num - log_den)
+    params = critically_damped_params(n) if n > 1 else HoldParams(1, (), xi or 1.0, 1.0)
+    zero = BlockCovariance(n, np.zeros((n, n)), 0.0)
+    factor, delta = cholesky_stack(covariance_at(params, zero, t))
+    log_den = 2.0 * np.log(np.diagonal(factor, axis1=-2, axis2=-1)).sum(axis=-1)
+    s_star = damped_eigenvalue(build_forward_matrix(params))
+    log_num = 2 * n * np.log(-np.expm1(s_star * times))
+    with np.errstate(over="ignore", under="ignore"):
+        ratio = np.exp(log_num - log_den)
+    bad, why = delta > 0, "the covariance factor needed a floor"
+    if not bad.any():
+        bad, why = ~(ratio > 0) | np.isinf(ratio), "the ratio leaves the float range"
+    if bad.any():
+        raise ValueError(f"det_ratio at order {n}, t={times[bad].flat[0]}: {why}")
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 def collapse_curve(n_list, t_grid, xi: float = 1.0) -> list[tuple[int, float, float]]:
     """Determinant-ratio table over (order, time); rows ordered as given."""
+    times = np.asarray(t_grid, dtype=float)
     rows = []
     for n in n_list:
-        for t in t_grid:
-            rows.append((int(n), float(t), det_ratio(int(n), float(t), xi=xi)))
+        ratios = det_ratio(int(n), times, xi=xi)
+        rows.extend((int(n), t, r) for t, r in zip(times.tolist(), ratios.tolist()))
     return rows
 
 

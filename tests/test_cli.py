@@ -108,6 +108,23 @@ class TestFilterCommand:
         assert float(hold_zero[0][2]) == 0.0
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--omega-min", "0"],
+            ["--omega-min", "-1"],
+            ["--omega-max", "inf"],
+            ["--omega-max", "nan"],
+            ["--omega-points", "0"],
+        ],
+    )
+    def test_bad_frequency_grid_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "filter.csv"
+        assert main(["filter", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --omega-")
+        assert not out.exists()
+
+
 class TestCollapseCommand:
     def test_svg_written(self, tmp_path):
         out = tmp_path / "collapse.csv"
@@ -170,6 +187,19 @@ class TestCollapseCommand:
         out = tmp_path / "collapse.csv"
         assert main(["collapse", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "order, why", [("12", "leaves the float range"), ("16", "needed a floor")]
+    )
+    def test_out_of_range_orders_exit_2(self, tmp_path, capsys, order, why):
+        # Order 12's ratio passes 1e308 at the default t_min = 1e-3; order
+        # 16's Sigma_t needs a Cholesky floor there.
+        out = tmp_path / "collapse.csv"
+        assert main(["collapse", "--orders", order, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: det_ratio at order {order}, t=0.001")
+        assert why in err
         assert not out.exists()
 
 
@@ -256,9 +286,10 @@ class TestGenerateCommand:
         assert main(["generate", "--config", str(cfg)]) == 2
 
     def test_divergent_runs_exit_3(self, tmp_path):
-        # A t_end below the Cholesky floor regime blows up the order-3
-        # empirical score; the divergences land in failures.csv and the
-        # failure budget trips.
+        # At t_end = 1e-8 the order-3 Sigma_t has L_00 ~ 2e-20, so Heun's
+        # corrector on the last 2.5e-3 step meets an exact score of ~5e19
+        # and every run passes the 1e6 divergence guard on step 399; the
+        # divergences land in failures.csv and the failure budget trips.
         out = tmp_path / "diverge"
         code = main(
             [

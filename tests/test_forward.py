@@ -145,6 +145,39 @@ class TestCholeskyBlock:
             cholesky_block(cov)
 
 
+def mpmath_noise_covariance(mpmath, params, t):
+    """l_inv (I - exp(Ft) exp(Ft)^T) from an mpmath expm, at
+    40 + (2n - 1) log10(1/t) digits: the subtraction cancels about
+    (2n - 1) log10(1/t) of them, since Sigma_00 ~ t^{2n-1}."""
+    n = params.order
+    fmat = build_forward_matrix(params).entries
+    digits = 40 + (2 * n - 1) * max(0.0, math.log10(1.0 / t))
+    with mpmath.workdps(int(math.ceil(digits))):
+        e = mpmath.expm(mpmath.matrix(fmat.tolist()) * mpmath.mpf(t))
+        sig = (mpmath.eye(n) - e * e.T) * mpmath.mpf(params.l_inv)
+        return np.array(sig.tolist(), dtype=float)
+
+
+class TestCovarianceOracle:
+    """Zero-Sigma_0 covariance against a high-precision reference, on the
+    scaled error |dSigma_pq| / sqrt(Sigma_pp Sigma_qq): an entrywise
+    relative error is undefined where an off-diagonal entry crosses zero,
+    and the scaled error is what the Cholesky factor inherits."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_scaled_error_against_mpmath(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        p = HoldParams(1, (), 1.5, 1.0) if n == 1 else critically_damped_params(n)
+        times = np.geomspace(1e-6, 10.0, 36)
+        stack = covariance_at(p, zero_cov(n), times).small
+        bound = 1e-13 if n <= 6 else 1e-11
+        for t, block in zip(times.tolist(), stack):
+            want = mpmath_noise_covariance(mpmath, p, t)
+            scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+            for got in (block, covariance_at(p, zero_cov(n), t).small):
+                assert np.max(np.abs(got - want) / scale) <= bound, t
+
+
 class TestTimeStack:
     """A (T,) array of times gives the stack of single-time results, slice
     for slice to 0 ulp, floors included."""
@@ -167,9 +200,10 @@ class TestTimeStack:
             assert delta[i] == want_delta
 
     def test_floors_fall_on_the_same_slices(self):
-        # Order 4 at t = 1e-3 needs a floor (ROADMAP item 1); t >= 0.5 does not.
-        p = critically_damped_params(4)
-        s0 = initial_covariance(p, FixedPerSample(seed=0))
+        # Marginalized order 5 at t = 1e-3 needs a floor (E Sigma_0 E^T loses
+        # the smallest eigenvalue, ROADMAP); t >= 0.5 does not.
+        p = critically_damped_params(5)
+        s0 = initial_covariance(p, Marginalized())
         want_factor, want = cholesky_block(covariance_at(p, s0, 1e-3))
         assert want > 0.0
         times = np.array([1.0, 1e-3, 0.5, 1e-3, 2.0])

@@ -16,12 +16,6 @@ from holdlab import (
     gaussian_w2,
 )
 from holdlab.core import build_forward_matrix, critically_damped_params
-from holdlab.metrics import (
-    _gram_series,
-    _log_det_noise_cov,
-    _noise_covariance_series,
-    _series_vectors,
-)
 
 
 def fmem_oracle(gen, train, tau):
@@ -200,15 +194,41 @@ class TestDetRatio:
         limit = 135.0 / (24.0 * math.sqrt(3.0))
         assert abs(t**3 * det_ratio(3, t) - limit) <= 0.05 * limit
 
-    def test_series_and_direct_routes_agree(self):
-        # Above the switch the default is the direct determinant; the series
-        # route must reproduce it at the same times.
-        for n in (2, 3, 4):
-            for t in (0.06, 0.1, 0.3):
-                direct = det_ratio(n, t)
-                num = (-math.expm1(-math.sqrt(2 * n - 3) * t)) ** (2 * n)
-                series = num / math.exp(_log_det_noise_cov(n, t))
-                assert direct == pytest.approx(series, rel=1e-5)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_mpmath(self, n):
+        # det(I - E)^2 / det(I - E E^T) from an mpmath expm of the same
+        # drift matrix, at 80 digits or enough to keep 40 past the
+        # cancellation in I - E E^T; relative bound 1e-11 (orders 2-4) and
+        # 1e-9 (orders 5-6).
+        mpmath = pytest.importorskip("mpmath")
+        times = np.geomspace(1e-4, 10.0, 25).tolist()
+        got = [det_ratio(n, t) for t in times]
+        fmat = build_forward_matrix(critically_damped_params(n)).entries
+        bound = 1e-11 if n <= 4 else 1e-9
+        for t, value in zip(times, got):
+            digits = max(80, 40 + 2 * (2 * n - 1) * math.log10(1.0 / t))
+            with mpmath.workdps(int(digits)):
+                e = mpmath.expm(mpmath.matrix(fmat.tolist()) * mpmath.mpf(t))
+                eye = mpmath.eye(n)
+                want = mpmath.det(eye - e) ** 2 / mpmath.det(eye - e * e.T)
+            assert abs(value / float(want) - 1.0) <= bound, (t, value, want)
+
+    def test_vector_times_match_scalar_calls(self):
+        times = np.geomspace(1e-3, 10.0, 9)
+        for n in (1, 3):
+            got = det_ratio(n, times)
+            assert got.shape == times.shape
+            assert got.tolist() == [det_ratio(n, t) for t in times.tolist()]
+
+    def test_overflow_names_order_and_time(self):
+        # The order-12 ratio grows like t^{-(n^2 - 2n)} and passes 1e308 at t = 1e-3.
+        with pytest.raises(ValueError, match=r"order 12, t=0\.001: .*float range"):
+            det_ratio(12, np.array([0.5, 1e-3]))
+
+    def test_floored_factor_names_order_and_time(self):
+        # At order 16 the plain Cholesky factor of Sigma_t fails at t = 1e-3.
+        with pytest.raises(ValueError, match=r"order 16, t=0\.001: .*floor"):
+            det_ratio(16, 1e-3)
 
     def test_monotone_in_order_at_small_t(self):
         vals = [det_ratio(n, 1e-2) for n in (1, 2, 3, 4)]
@@ -225,82 +245,6 @@ class TestDetRatio:
             det_ratio(2, -1.0)
         with pytest.raises(ValueError):
             det_ratio(0, 0.5)
-
-
-def series_depth(fmat: np.ndarray, t: float) -> int:
-    """Number of Taylor vectors the series keeps at time t."""
-    return max(30, int(math.ceil(3.0 * float(np.linalg.norm(fmat)) * t)) + 30)
-
-
-def cauchy_series(n: int, t: float) -> np.ndarray:
-    """The np.outer Cauchy product the Gram form replaced: coefficients of
-    t^{m+1} / (m+1) summed by total degree m."""
-    params = critically_damped_params(n)
-    fmat = build_forward_matrix(params).entries
-    depth = series_depth(fmat, t)
-    vecs = [np.zeros(n)]
-    vecs[0][-1] = 1.0
-    for j in range(1, depth):
-        vecs.append(fmat @ vecs[-1] / j)
-    sig = np.zeros((n, n))
-    for m in range(2 * depth - 1):
-        coeff = np.zeros((n, n))
-        lo, hi = max(0, m - depth + 1), min(m, depth - 1)
-        for j in range(lo, hi + 1):
-            coeff += np.outer(vecs[j], vecs[m - j])
-        sig += coeff * t ** (m + 1) / (m + 1)
-    return 2.0 * params.xi * sig
-
-
-class TestNoiseCovarianceSeries:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_matches_cauchy_product(self, n):
-        for t in np.geomspace(1e-4, 0.3, 13):
-            got = _noise_covariance_series(n, float(t))
-            want = cauchy_series(n, float(t))
-            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_matches_mpmath(self, n):
-        mpmath = pytest.importorskip("mpmath")
-        params = critically_damped_params(n)
-        fmat = build_forward_matrix(params).entries
-        with mpmath.workdps(50):
-            f_mp = mpmath.matrix(fmat.tolist())
-            for t in (1e-3, 1e-2, 0.049):
-                depth = series_depth(fmat, t)
-                vecs = [mpmath.matrix(n, 1)]
-                vecs[0][n - 1] = 1
-                for j in range(1, depth):
-                    vecs.append(f_mp * vecs[-1] / j)
-                t_mp = mpmath.mpf(t)
-                sig = mpmath.matrix(n, n)
-                for j in range(depth):
-                    for k in range(depth):
-                        sig += vecs[j] * vecs[k].T * (t_mp ** (j + k + 1) / (j + k + 1))
-                want = np.array((2 * mpmath.mpf(params.xi) * sig).tolist(), dtype=float)
-                got = _noise_covariance_series(n, t)
-                assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
-
-    @pytest.mark.parametrize("depth", [1, 2, 3, 6])
-    def test_gram_product_is_the_double_sum(self, depth):
-        vecs = np.random.default_rng([80, depth]).standard_normal((depth, 3))
-        t = 0.7
-        want = sum(
-            np.outer(vecs[j], vecs[k]) * t ** (j + k + 1) / (j + k + 1)
-            for j in range(depth)
-            for k in range(depth)
-        )
-        got = _gram_series(vecs, t)
-        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
-
-    def test_cached_vectors_read_only(self):
-        vecs = _series_vectors(3, 30)
-        assert vecs.shape == (30, 3)
-        assert not vecs.flags.writeable
-        assert _series_vectors(3, 30) is vecs
-        with pytest.raises(ValueError):
-            vecs[0, 0] = 1.0
 
 
 class TestCollapseCurve:

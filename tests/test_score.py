@@ -333,8 +333,13 @@ class TestMcLossBlocks:
             assert abs(got - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("n_mc", [1, BLOCK - 1, BLOCK + 1])
-    def test_order4_with_floors(self, n_mc):
-        ds, params, s0, pol = criterion07_setup(4)
+    def test_marginalized_order8_with_floors(self, n_mc):
+        # Marginalized order 8 floors about 2 % of t ~ U(1e-3, 1): the
+        # E Sigma_0 E^T term loses the smallest eigenvalue (ROADMAP), so
+        # the blocks take the per-slice factor fallback.
+        ds = criterion07_setup(2)[0]
+        params, pol = critically_damped_params(8), Marginalized()
+        s0 = initial_covariance(params, pol)
         opt = empirical_score_fn(ds, params, s0, pol)
         fn = lambda u, t: opt(u, t) + np.array([0.06, -0.08])
         got = mc_loss(fn, ds, params, s0, pol, n_mc, rng_seed=502)
