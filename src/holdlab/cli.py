@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    OVERRIDE_KEYS,
     ConfigError,
     ExperimentConfig,
     load_config,
@@ -42,7 +43,7 @@ from .core import (
     build_forward_matrix,
 )
 from .datasets import heldout_points, training_points
-from .errors import HoldLabError, InvalidOrderError
+from .errors import HoldLabError
 from .filters import (
     HoldFilter,
     convolution_reconstruct,
@@ -72,16 +73,22 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _order_params(order: int, config: ExperimentConfig) -> HoldParams:
+def _order_params(
+    order: int, xi: float = 1.0, l_inv: float = 1.0, alpha: float = 1.0
+) -> HoldParams:
+    """Order 1 is the OU baseline with friction xi; higher orders are
+    critically damped, with their own friction."""
     if order == 1:
-        return HoldParams(
-            order=1,
-            gammas=(),
-            xi=config.ou_xi,
-            l_inv=config.l_inv,
-            alpha=config.alpha,
-        )
-    return critically_damped_params(order, l_inv=config.l_inv, alpha=config.alpha)
+        return HoldParams(order=1, gammas=(), xi=xi, l_inv=l_inv, alpha=alpha)
+    return critically_damped_params(order, l_inv=l_inv, alpha=alpha)
+
+
+def _labelled_params(orders, command: str, xi: float = 1.0) -> list:
+    """("ou", the order-1 baseline with friction xi), then ("hold<n>",
+    critically damped params) per order; ValueError for an order below 2."""
+    if any(n < 2 for n in orders):
+        raise ValueError(f"{command} orders must be >= 2, got {orders}")
+    return [(f"hold{n}" if n > 1 else "ou", _order_params(n, xi)) for n in [1, *orders]]
 
 
 def _int_list(text: str) -> list[int]:
@@ -89,11 +96,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_params(args) -> int:
-    try:
-        params = critically_damped_params(args.order)
-    except InvalidOrderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = critically_damped_params(args.order)
     s_star = damped_eigenvalue(build_forward_matrix(params))
     doc = {
         "order": params.order,
@@ -105,32 +108,37 @@ def cmd_params(args) -> int:
     return 0
 
 
+def _positive(value: float, flag: str) -> float:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{flag} must be positive and finite, got {value}")
+    return value
+
+
+def _count(value: int, flag: str) -> int:
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def _log_grid(lo: float, hi: float, points: int, name: str) -> np.ndarray:
-    """np.logspace from lo to hi; ValueError naming the --<name>-* options
+    """np.logspace from lo to hi; ValueError naming the --<name>-* option
     unless both ends are positive and finite and points >= 1."""
-    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
-        raise ValueError(
-            f"--{name}-min and --{name}-max must be positive and finite, "
-            f"got {lo} and {hi}"
-        )
-    if points < 1:
-        raise ValueError(f"--{name}-points must be at least 1, got {points}")
-    return np.logspace(math.log10(lo), math.log10(hi), points)
+    lo = math.log10(_positive(lo, f"--{name}-min"))
+    hi = math.log10(_positive(hi, f"--{name}-max"))
+    return np.logspace(lo, hi, _count(points, f"--{name}-points"))
 
 
 def cmd_filter(args) -> int:
-    try:
-        omegas = _log_grid(args.omega_min, args.omega_max, args.omega_points, "omega")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    ou_params = HoldParams(order=1, gammas=(), xi=1.0, l_inv=1.0)
-    specs = [("ou", HoldFilter.from_params(ou_params))]
-    for n in args.orders:
-        if n < 2:
-            print(f"error: filter orders must be >= 2, got {n}", file=sys.stderr)
-            return 2
-        specs.append((f"hold{n}", HoldFilter.from_params(critically_damped_params(n))))
+    omegas = _log_grid(args.omega_min, args.omega_max, args.omega_points, "omega")
+    times = np.linspace(
+        0.0,
+        _positive(args.impulse_t_max, "--impulse-t-max"),
+        _count(args.impulse_points, "--impulse-points"),
+    )
+    specs = [
+        (label, HoldFilter.from_params(params))
+        for label, params in _labelled_params(args.orders, "filter")
+    ]
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
     for label, spec in specs:
@@ -138,61 +146,48 @@ def cmd_filter(args) -> int:
         series[label] = list(zip(omegas.tolist(), mags.tolist()))
         rows.extend([float(w), label, float(m)] for w, m in zip(omegas, mags))
     out = Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _write_csv(out, ["omega", "label", "magnitude"], rows)
-        if args.impulse_out:
-            times = np.linspace(0.0, args.impulse_t_max, args.impulse_points)
-            impulse_rows = []
-            for label, spec in specs:
-                vals = impulse_response(spec, times)
-                impulse_rows.extend(
-                    [float(t), label, float(v)] for t, v in zip(times, vals)
-                )
-            _write_csv(Path(args.impulse_out), ["t", "label", "h"], impulse_rows)
-        if args.svg:
-            line_chart(
-                series,
-                out.with_suffix(".svg"),
-                title="Frequency magnitudes",
-                x_label="omega",
-                y_label="|H(i omega)|",
-                log_x=True,
-                log_y=True,
+    out.parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(out, ["omega", "label", "magnitude"], rows)
+    if args.impulse_out:
+        impulse_rows = []
+        for label, spec in specs:
+            vals = impulse_response(spec, times)
+            impulse_rows.extend(
+                [float(t), label, float(v)] for t, v in zip(times, vals)
             )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        _write_csv(Path(args.impulse_out), ["t", "label", "h"], impulse_rows)
+    if args.svg:
+        line_chart(
+            series,
+            out.with_suffix(".svg"),
+            title="Frequency magnitudes",
+            x_label="omega",
+            y_label="|H(i omega)|",
+            log_x=True,
+            log_y=True,
+        )
     return 0
 
 
 def cmd_collapse(args) -> int:
-    try:
-        t_grid = _log_grid(args.t_min, args.t_max, args.t_points, "t")
-        table = collapse_curve(args.orders, t_grid, xi=args.ou_xi)
-    except (ValueError, HoldLabError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    t_grid = _log_grid(args.t_min, args.t_max, args.t_points, "t")
+    table = collapse_curve(args.orders, t_grid, xi=args.ou_xi)
     out = Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _write_csv(out, ["n", "t", "det_ratio"], [list(r) for r in table])
-        if args.svg:
-            series: dict[str, list[tuple[float, float]]] = {}
-            for n, t, val in table:
-                series.setdefault(f"n={n}", []).append((t, val))
-            line_chart(
-                series,
-                out.with_suffix(".svg"),
-                title="Collapse determinant ratio",
-                x_label="t",
-                y_label="ratio",
-                log_x=True,
-                log_y=True,
-            )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    out.parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(out, ["n", "t", "det_ratio"], [list(r) for r in table])
+    if args.svg:
+        series: dict[str, list[tuple[float, float]]] = {}
+        for n, t, val in table:
+            series.setdefault(f"n={n}", []).append((t, val))
+        line_chart(
+            series,
+            out.with_suffix(".svg"),
+            title="Collapse determinant ratio",
+            x_label="t",
+            y_label="ratio",
+            log_x=True,
+            log_y=True,
+        )
     return 0
 
 
@@ -204,7 +199,7 @@ def _generate_endpoints(
     policy_idx: int,
 ):
     """Shared generation core: returns (positions, ok mask, failures, train)."""
-    params = _order_params(order, config)
+    params = _order_params(order, config.ou_xi, config.l_inv, config.alpha)
     train = training_points(config.dataset, n_train, config.seed)
     dataset = Dataset(train)
     sigma0 = initial_covariance(params, policy)
@@ -228,92 +223,86 @@ def _failure_exit(diverged: int, total_runs: int) -> int:
     return 0
 
 
+def _config_from_args(args) -> ExperimentConfig:
+    """The config file, then every flag given; the config converters parse
+    the flags' raw strings."""
+    return load_config(args.config, {key: getattr(args, key) for key in OVERRIDE_KEYS})
+
+
 def cmd_generate(args) -> int:
-    try:
-        config = _config_from_args(args)
-        if len(config.n_train) != 1:
-            raise ConfigError("generate needs a single n_train value")
-        if config.aux_policy == "both":
-            raise ConfigError("generate needs a single aux_policy")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _config_from_args(args)
+    if len(config.n_train) != 1:
+        raise ConfigError("generate needs a single n_train value")
+    if config.aux_policy == "both":
+        raise ConfigError("generate needs a single aux_policy")
     n_train = config.n_train[0]
-    policy_name, policy = config.policies()[0]
+    policy = config.policies()[0][1]
     out_dir = Path(config.out_dir)
     failure_rows: list[list] = []
     total_runs = 0
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_resolved_config(config, out_dir)
-        for order in config.orders:
-            positions, ok, failures, _ = _generate_endpoints(
-                config, order, n_train, policy, 0
-            )
-            total_runs += config.runs
-            header = ["run"] + [f"x{i}" for i in range(positions.shape[1])]
-            rows = [
-                [run] + [float(v) for v in positions[run]]
-                for run in range(config.runs)
-                if ok[run]
-            ]
-            _write_csv(out_dir / f"endpoints_{order}.csv", header, rows)
-            failure_rows.extend([order, run, step] for run, step in failures)
-        _write_csv(out_dir / "failures.csv", ["order", "run", "step"], failure_rows)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_resolved_config(config, out_dir)
+    for order in config.orders:
+        positions, ok, failures, _ = _generate_endpoints(
+            config, order, n_train, policy, 0
+        )
+        total_runs += config.runs
+        header = ["run"] + [f"x{i}" for i in range(positions.shape[1])]
+        rows = [
+            [run] + [float(v) for v in positions[run]]
+            for run in range(config.runs)
+            if ok[run]
+        ]
+        _write_csv(out_dir / f"endpoints_{order}.csv", header, rows)
+        failure_rows.extend([order, run, step] for run, step in failures)
+    _write_csv(out_dir / "failures.csv", ["order", "run", "step"], failure_rows)
     return _failure_exit(len(failure_rows), total_runs)
 
 
 def cmd_fmem_sweep(args) -> int:
-    try:
-        config = _config_from_args(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _config_from_args(args)
+    if min(config.n_train) < 2:
+        raise ConfigError(
+            "fmem-sweep needs n_train >= 2: the gap ratio compares the nearest "
+            "and second-nearest training points"
+        )
     out_dir = Path(config.out_dir)
     rows: list[list] = []
     failure_rows: list[list] = []
     total_runs = 0
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_resolved_config(config, out_dir)
-        for order in config.orders:
-            for n_train in config.n_train:
-                for policy_idx, (policy_name, policy) in enumerate(config.policies()):
-                    positions, ok, failures, train = _generate_endpoints(
-                        config, order, n_train, policy, policy_idx
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_resolved_config(config, out_dir)
+    for order in config.orders:
+        for n_train in config.n_train:
+            for policy_idx, (policy_name, policy) in enumerate(config.policies()):
+                positions, ok, failures, train = _generate_endpoints(
+                    config, order, n_train, policy, policy_idx
+                )
+                total_runs += config.runs
+                failure_rows.extend(
+                    [order, n_train, policy_name, run, step] for run, step in failures
+                )
+                # A cell with no surviving run has no sample to score.
+                scores = [math.nan] * 4
+                if ok.any():
+                    report = fmem(positions[ok], train, tau=config.tau)
+                    held = heldout_points(
+                        config.dataset, max(n_train, 256), config.seed
                     )
-                    total_runs += config.runs
-                    failure_rows.extend(
-                        [order, n_train, policy_name, run, step]
-                        for run, step in failures
-                    )
-                    # A cell with no surviving run has no sample to score.
-                    scores = [math.nan] * 4
-                    if ok.any():
-                        report = fmem(positions[ok], train, tau=config.tau)
-                        held = heldout_points(
-                            config.dataset, max(n_train, 256), config.seed
-                        )
-                        w2 = gaussian_w2(positions[ok], held)
-                        scores = [report.fraction, report.ci_low, report.ci_high, w2]
-                    rows.append([order, n_train, policy_name, *scores])
-        rows.sort(key=lambda r: (r[0], r[1], r[2]))
-        _write_csv(
-            out_dir / "sweep.csv",
-            ["order", "n_train", "policy", "fmem", "ci_low", "ci_high", "w2"],
-            rows,
-        )
-        _write_csv(
-            out_dir / "failures.csv",
-            ["order", "n_train", "policy", "run", "step"],
-            failure_rows,
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+                    w2 = gaussian_w2(positions[ok], held)
+                    scores = [report.fraction, report.ci_low, report.ci_high, w2]
+                rows.append([order, n_train, policy_name, *scores])
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    _write_csv(
+        out_dir / "sweep.csv",
+        ["order", "n_train", "policy", "fmem", "ci_low", "ci_high", "w2"],
+        rows,
+    )
+    _write_csv(
+        out_dir / "failures.csv",
+        ["order", "n_train", "policy", "run", "step"],
+        failure_rows,
+    )
     return _failure_exit(len(failure_rows), total_runs)
 
 
@@ -336,31 +325,14 @@ def _forcing_values(spec: str, times: np.ndarray) -> np.ndarray:
 
 
 def cmd_theorem1_check(args) -> int:
-    # A degenerate grid, no forcing, an unknown forcing (ConfigError) or a
-    # nonpositive friction is a usage error.
-    try:
-        if args.steps < 1 or not 0.0 < args.t_max < math.inf:
-            raise ValueError(
-                f"need --steps >= 1 and a positive finite --t-max, "
-                f"got {args.steps} and {args.t_max}"
-            )
-        if not args.forcings:
-            raise ValueError("--forcings names no forcing")
-        times = np.linspace(0.0, args.t_max, args.steps + 1)
-        # The forcings are the columns of one (T, F) block.
-        forcings = np.stack([_forcing_values(spec, times) for spec in args.forcings], 1)
-        ou_params = HoldParams(order=1, gammas=(), xi=args.ou_xi, l_inv=1.0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cases = [("ou", ou_params, LiftedState(1, 1, np.array([1.0])))]
-    for n in args.orders:
-        if n < 2:
-            print(f"error: theorem orders must be >= 2, got {n}", file=sys.stderr)
-            return 2
-        params = critically_damped_params(n)
-        u0 = LiftedState(n, 1, np.array([1.0] + [0.5] * (n - 1)))
-        cases.append((f"hold{n}", params, u0))
+    times = np.linspace(
+        0.0, _positive(args.t_max, "--t-max"), _count(args.steps, "--steps") + 1
+    )
+    if not args.forcings:
+        raise ValueError("--forcings names no forcing")
+    # The forcings are the columns of one (T, F) block.
+    forcings = np.stack([_forcing_values(spec, times) for spec in args.forcings], 1)
+    cases = _labelled_params(args.orders, "theorem", args.ou_xi)
 
     # Zero forcing: the exact solution is the natural response, which the
     # reconstruction reproduces identically, so only the other columns need
@@ -368,17 +340,18 @@ def cmd_theorem1_check(args) -> int:
     live = forcings.any(axis=0)
     rows: list[list] = []
     worst = 0.0
-    for label, params, u0 in cases:
+    for label, params in cases:
         spec = HoldFilter.from_params(params)
         n, width = params.order, forcings.shape[1]
-        stacked = LiftedState(n, width, np.repeat(u0.data, width))
+        u0 = np.array([1.0] + [0.5] * (n - 1))
+        stacked = LiftedState(n, width, np.repeat(u0, width))
         recon = convolution_reconstruct(spec, params, stacked, forcings, times)
         oracle = recon.copy()
         if live.any():
             count = int(live.sum())
             oracle[:, live] = forced_ode_positions(
                 params,
-                LiftedState(n, count, np.repeat(u0.data, count)),
+                LiftedState(n, count, np.repeat(u0, count)),
                 forcings[:, live],
                 times,
             )
@@ -388,12 +361,8 @@ def cmd_theorem1_check(args) -> int:
             worst = max(worst, err)
             rows.append([label, fname, err])
     out = Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _write_csv(out, ["label", "forcing", "rel_l2_error"], rows)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    out.parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(out, ["label", "forcing", "rel_l2_error"], rows)
     if worst > THEOREM_TOL:
         print(
             f"error: worst relative L2 error {worst:.3e} exceeds {THEOREM_TOL}",
@@ -403,55 +372,14 @@ def cmd_theorem1_check(args) -> int:
     return 0
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    overrides = {
-        "orders": args.orders,
-        "dataset": args.dataset,
-        "n_train": args.n_train,
-        "runs": args.runs,
-        "tau": args.tau,
-        "l_inv": args.l_inv,
-        "alpha": args.alpha,
-        "ou_xi": args.ou_xi,
-        "aux_policy": args.aux_policy,
-        "seed": args.seed,
-        "out_dir": args.out_dir,
-        "grid.t_start": args.t_start,
-        "grid.t_end": args.t_end,
-        "grid.steps": args.steps,
-        "grid.spacing": args.spacing,
-    }
-    return load_config(args.config, overrides)
-
-
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
+    """--config, then one flag per config field (``grid.t_end`` is --t-end).
+    The values stay strings for the config converters to parse."""
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--orders", type=_int_list, default=None)
-    parser.add_argument(
-        "--dataset",
-        default=None,
-        help="kind:key=val,... e.g. gaussian_mixture:k=8,spread=6.0,dim=2",
-    )
-    parser.add_argument("--n-train", dest="n_train", type=_int_list, default=None)
-    parser.add_argument("--runs", type=int, default=None)
-    parser.add_argument("--tau", type=float, default=None)
-    parser.add_argument("--l-inv", dest="l_inv", type=float, default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--ou-xi", dest="ou_xi", type=float, default=None)
-    parser.add_argument(
-        "--aux-policy",
-        dest="aux_policy",
-        choices=["fixed", "marginalized", "both"],
-        default=None,
-    )
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out-dir", dest="out_dir", default=None)
-    parser.add_argument("--t-start", dest="t_start", type=float, default=None)
-    parser.add_argument("--t-end", dest="t_end", type=float, default=None)
-    parser.add_argument("--steps", type=int, default=None)
-    parser.add_argument(
-        "--spacing", choices=["uniform", "quadratic"], default=None
-    )
+    for key in OVERRIDE_KEYS:
+        name = key.rpartition(".")[2]
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, dest=key, metavar=name.upper())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,27 +395,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="frequency magnitude tables")
     p.add_argument("--orders", type=_int_list, default=[2, 3, 4])
-    p.add_argument("--omega-min", dest="omega_min", type=float, default=1e-2)
-    p.add_argument("--omega-max", dest="omega_max", type=float, default=1e3)
-    p.add_argument("--omega-points", dest="omega_points", type=int, default=200)
+    p.add_argument("--omega-min", type=float, default=1e-2)
+    p.add_argument("--omega-max", type=float, default=1e3)
+    p.add_argument("--omega-points", type=int, default=200)
     p.add_argument("--out", default="filter.csv")
     p.add_argument("--svg", action="store_true")
-    p.add_argument(
-        "--impulse-out",
-        dest="impulse_out",
-        default=None,
-        help="also write a (t, label, h) impulse-response table",
-    )
-    p.add_argument("--impulse-t-max", dest="impulse_t_max", type=float, default=8.0)
-    p.add_argument("--impulse-points", dest="impulse_points", type=int, default=400)
+    p.add_argument("--impulse-out", help="also write a (t, label, h) impulse table")
+    p.add_argument("--impulse-t-max", type=float, default=8.0)
+    p.add_argument("--impulse-points", type=int, default=400)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("collapse", help="determinant ratio tables")
     p.add_argument("--orders", type=_int_list, default=[1, 2, 3, 4])
-    p.add_argument("--t-min", dest="t_min", type=float, default=1e-3)
-    p.add_argument("--t-max", dest="t_max", type=float, default=10.0)
-    p.add_argument("--t-points", dest="t_points", type=int, default=100)
-    p.add_argument("--ou-xi", dest="ou_xi", type=float, default=1.0)
+    p.add_argument("--t-min", type=float, default=1e-3)
+    p.add_argument("--t-max", type=float, default=10.0)
+    p.add_argument("--t-points", type=int, default=100)
+    p.add_argument("--ou-xi", type=float, default=1.0)
     p.add_argument("--out", default="collapse.csv")
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=cmd_collapse)
@@ -508,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=["sin:3", "cos:2", "exp:1", "sinexp:5", "const:1"],
     )
     p.add_argument("--steps", type=int, default=10_000)
-    p.add_argument("--t-max", dest="t_max", type=float, default=5.0)
-    p.add_argument("--ou-xi", dest="ou_xi", type=float, default=2.0)
+    p.add_argument("--t-max", type=float, default=5.0)
+    p.add_argument("--ou-xi", type=float, default=2.0)
     p.add_argument("--out", default="theorem1.csv")
     p.set_defaults(func=cmd_theorem1_check)
 
@@ -517,13 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Commands raise; this is the one place an exception becomes exit 1 or 2.
     try:
         return args.func(args)
-    except HoldLabError as exc:
+    except (OSError, ValueError, HoldLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

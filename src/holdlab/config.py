@@ -1,14 +1,18 @@
 """Experiment configuration: JSON documents with per-field CLI overrides.
 
-Unknown keys anywhere in the document are a hard error; a silent typo in a
-sweep configuration would corrupt every cell downstream.
+``FIELDS`` is the schema: one converter per ``ExperimentConfig`` field, with
+the time grid as a nested table.  Config files, overrides and the
+``generate``/``fmem-sweep`` flags all parse through it, so a converter takes
+either a JSON value or the raw command-line string.  Unknown keys anywhere
+in the document are a hard error; a silent typo in a sweep configuration
+would corrupt every cell downstream.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .datasets import (
@@ -30,6 +34,15 @@ class ConfigError(ValueError):
     """Malformed or contradictory experiment configuration."""
 
 
+def _env_seed() -> int:
+    """The seed of a config that names none: ``HOLDLAB_SEED``, else 0."""
+    text = os.environ.get(ENV_SEED, "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{ENV_SEED} must be an integer, got {text!r}") from None
+
+
 @dataclass
 class ExperimentConfig:
     orders: list[int] = field(default_factory=lambda: [1, 2, 3])
@@ -44,7 +57,7 @@ class ExperimentConfig:
     ou_xi: float = 1.0
     grid: TimeGrid = field(default_factory=TimeGrid)
     aux_policy: str = "fixed"
-    seed: int = 0
+    seed: int = field(default_factory=_env_seed)
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -71,45 +84,59 @@ class ExperimentConfig:
         return [fixed, marg]
 
     def to_json_dict(self) -> dict:
-        return {
-            "orders": list(self.orders),
-            "dataset": _dataset_to_dict(self.dataset),
-            "n_train": list(self.n_train),
-            "runs": self.runs,
-            "tau": self.tau,
-            "l_inv": self.l_inv,
-            "alpha": self.alpha,
-            "ou_xi": self.ou_xi,
-            "grid": {
-                "t_start": self.grid.t_start,
-                "t_end": self.grid.t_end,
-                "steps": self.grid.steps,
-                "spacing": self.grid.spacing,
-            },
-            "aux_policy": self.aux_policy,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-        }
+        return {**asdict(self), "dataset": _dataset_to_dict(self.dataset)}
+
+
+@dataclass(frozen=True)
+class _Record:
+    """Parser of a JSON object into ``cls``, one converter per key."""
+
+    cls: type
+    fields: dict
+
+    def __call__(self, value):
+        if isinstance(value, self.cls):
+            return value
+        name = self.cls.__name__
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be an object, got {value!r}")
+        unknown = set(value) - set(self.fields)
+        if unknown:
+            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+        kwargs = {}
+        for key, raw in value.items():
+            try:
+                kwargs[key] = self.fields[key](raw)
+            except ConfigError:
+                raise
+            except (TypeError, ValueError):
+                raise ConfigError(f"bad value for {key}: {raw!r}") from None
+        try:
+            return self.cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
 
 
 _DATASET_KINDS = {
-    "gaussian_mixture": (GaussianMixtureSpec, {"k": int, "spread": float, "dim": int}),
-    "ring": (RingSpec, {"radius": float, "noise": float, "dim": int}),
-    "grid": (GridSpec, {"side": int, "dim": int}),
-    "csv": (CsvFileSpec, {"path": str}),
+    "gaussian_mixture": _Record(
+        GaussianMixtureSpec, {"k": int, "spread": float, "dim": int}
+    ),
+    "ring": _Record(RingSpec, {"radius": float, "noise": float, "dim": int}),
+    "grid": _Record(GridSpec, {"side": int, "dim": int}),
+    "csv": _Record(CsvFileSpec, {"path": str}),
 }
 
 
 def _dataset_to_dict(spec: DatasetSpec) -> dict:
-    for kind, (cls, fields) in _DATASET_KINDS.items():
-        if isinstance(spec, cls):
-            return {"kind": kind, **{f: getattr(spec, f) for f in fields}}
+    for kind, record in _DATASET_KINDS.items():
+        if isinstance(spec, record.cls):
+            return {"kind": kind, **asdict(spec)}
     raise TypeError(f"unknown dataset spec {spec!r}")
 
 
 def parse_dataset(value) -> DatasetSpec:
     """Parse a dataset spec from a JSON dict or a ``kind:key=val,...`` string."""
-    if isinstance(value, (GaussianMixtureSpec, RingSpec, GridSpec, CsvFileSpec)):
+    if isinstance(value, DatasetSpec):
         return value
     if isinstance(value, str):
         kind, _, rest = value.partition(":")
@@ -129,104 +156,60 @@ def parse_dataset(value) -> DatasetSpec:
         raise ConfigError(
             f"unknown dataset kind {kind!r}; expected one of {sorted(_DATASET_KINDS)}"
         )
-    cls, fields = _DATASET_KINDS[kind]
-    unknown = set(payload) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown dataset keys for {kind}: {sorted(unknown)}")
-    kwargs = {}
-    for name, conv in fields.items():
-        if name in payload:
-            try:
-                kwargs[name] = conv(payload[name])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for dataset.{name}: {exc}") from None
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    return _DATASET_KINDS[kind](payload)
 
 
-def _parse_grid(value) -> TimeGrid:
-    if isinstance(value, TimeGrid):
-        return value
-    if not isinstance(value, dict):
-        raise ConfigError("grid must be an object")
-    allowed = {"t_start": float, "t_end": float, "steps": int, "spacing": str}
-    unknown = set(value) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-    kwargs = {k: allowed[k](v) for k, v in value.items()}
-    try:
-        return TimeGrid(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _as_int_list(value, name: str) -> list[int]:
+def _int_list(value) -> list[int]:
+    """An integer, a list of them, or a comma-separated string of them."""
     if isinstance(value, int):
         return [value]
     if isinstance(value, str):
         value = [v for v in value.split(",") if v.strip()]
-    if isinstance(value, (list, tuple)):
-        try:
-            return [int(v) for v in value]
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{name} must be an integer or list of integers")
+    if not isinstance(value, (list, tuple)):
+        raise TypeError("want an integer or a list of them")
+    return [int(v) for v in value]
+
+
+# The schema, in the order the CLI lists its flags.
+FIELDS = {
+    "orders": _int_list,
+    "dataset": parse_dataset,
+    "n_train": _int_list,
+    "runs": int,
+    "tau": float,
+    "l_inv": float,
+    "alpha": float,
+    "ou_xi": float,
+    "grid": _Record(
+        TimeGrid, {"t_start": float, "t_end": float, "steps": int, "spacing": str}
+    ),
+    "aux_policy": str,
+    "seed": int,
+    "out_dir": str,
+}
+
+# Every key ``load_config`` takes as an override: a nested field is dotted.
+OVERRIDE_KEYS = tuple(
+    key
+    for name, conv in FIELDS.items()
+    for key in (
+        [f"{name}.{sub}" for sub in conv.fields]
+        if isinstance(conv, _Record)
+        else [name]
+    )
+)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    allowed = {
-        "orders",
-        "dataset",
-        "n_train",
-        "runs",
-        "tau",
-        "l_inv",
-        "alpha",
-        "ou_xi",
-        "grid",
-        "aux_policy",
-        "seed",
-        "out_dir",
-    }
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs: dict = {}
-    if "orders" in doc:
-        kwargs["orders"] = _as_int_list(doc["orders"], "orders")
-    if "dataset" in doc:
-        kwargs["dataset"] = parse_dataset(doc["dataset"])
-    if "n_train" in doc:
-        kwargs["n_train"] = _as_int_list(doc["n_train"], "n_train")
-    for name, conv in (
-        ("runs", int),
-        ("tau", float),
-        ("l_inv", float),
-        ("alpha", float),
-        ("ou_xi", float),
-        ("seed", int),
-        ("out_dir", str),
-        ("aux_policy", str),
-    ):
-        if name in doc:
-            try:
-                kwargs[name] = conv(doc[name])
-            except (TypeError, ValueError):
-                raise ConfigError(f"bad value for {name}: {doc[name]!r}") from None
-    if "grid" in doc:
-        kwargs["grid"] = _parse_grid(doc["grid"])
-    if "seed" not in kwargs and ENV_SEED in os.environ:
-        try:
-            kwargs["seed"] = int(os.environ[ENV_SEED])
-        except ValueError:
-            raise ConfigError(f"{ENV_SEED} must be an integer") from None
-    return ExperimentConfig(**kwargs)
+    return _Record(ExperimentConfig, FIELDS)(doc)
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> ExperimentConfig:
-    """Load a JSON config file (optional) and apply CLI overrides on top."""
+    """Load a JSON config file (optional) and apply overrides on top.
+
+    An override key is a field name, or ``grid.<name>`` for a grid field; a
+    value of None leaves the field alone.
+    """
     doc: dict = {}
     if path is not None:
         try:
@@ -238,10 +221,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key in ("grid.t_start", "grid.t_end", "grid.steps", "grid.spacing"):
-            grid = dict(doc.get("grid", {})) if isinstance(doc.get("grid"), dict) else {}
-            grid[key.split(".", 1)[1]] = value
-            doc["grid"] = grid
+        head, dot, tail = key.partition(".")
+        if dot:
+            nested = doc.get(head)
+            doc[head] = {**(nested if isinstance(nested, dict) else {}), tail: value}
         else:
             doc[key] = value
     return config_from_dict(doc)

@@ -34,7 +34,8 @@ class BlockCovariance:
         m = np.asarray(self.small, dtype=float)
         if m.shape[-2:] != (self.order, self.order) or m.shape[:-2] != np.shape(self.t):
             raise ValueError(f"small must be {self.order}x{self.order}, one per time")
-        if not np.allclose(m, m.swapaxes(-1, -2), atol=1e-12, rtol=0.0):
+        # Written so that a NaN anywhere fails: NaN <= tol is False.
+        if not np.abs(m - m.swapaxes(-1, -2)).max(initial=0.0) <= 1e-12:
             raise ValueError("covariance block must be symmetric to 1e-12")
         object.__setattr__(self, "small", m)
 

@@ -56,10 +56,6 @@ class Dataset:
             raise ValueError("points must be a (n_train, h) array")
         self.points = pts
 
-    @classmethod
-    def from_points(cls, points) -> "Dataset":
-        return cls(np.asarray(points, dtype=float))
-
     @property
     def n_train(self) -> int:
         return self.points.shape[0]

@@ -1,5 +1,7 @@
 """Command-line harness tests: schemas, exit codes, determinism."""
 
+import argparse
+import dataclasses
 import json
 import math
 
@@ -14,7 +16,9 @@ from holdlab import (
     critically_damped_params,
     forced_ode_positions,
 )
-from holdlab.cli import _forcing_values, main
+from holdlab.cli import _config_from_args, _forcing_values, build_parser, main
+from holdlab.config import ConfigError, ExperimentConfig, config_from_dict
+from holdlab.sampler import TimeGrid
 
 
 def read_csv(path):
@@ -123,6 +127,23 @@ class TestFilterCommand:
         assert main(["filter", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: --omega-")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--impulse-points", "-3"],
+            ["--impulse-points", "0"],
+            ["--impulse-t-max", "-1"],
+            ["--impulse-t-max", "0"],
+            ["--impulse-t-max", "nan"],
+        ],
+    )
+    def test_bad_impulse_grid_exits_2(self, tmp_path, capsys, flags):
+        out, imp = tmp_path / "filter.csv", tmp_path / "impulse.csv"
+        argv = ["filter", *flags, "--out", str(out), "--impulse-out", str(imp)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flags[0]} must be ")
+        assert not out.exists() and not imp.exists()
 
 
 class TestCollapseCommand:
@@ -314,6 +335,12 @@ class TestGenerateCommand:
         _, rows = read_csv(out / "failures.csv")
         assert len(rows) == 8
 
+    def test_out_dir_on_a_file_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["generate", "--runs", "2", "--out-dir", str(blocker)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestFmemSweepCommand:
     def test_rows_and_determinism(self, tmp_path):
@@ -440,6 +467,111 @@ class TestFmemSweepCommand:
         assert resolved["runs"] == 4
         assert resolved["dataset"]["kind"] == "ring"
         assert resolved["grid"]["steps"] == 100
+
+    @pytest.mark.parametrize("n_train", ["1", "4,1"])
+    def test_single_training_point_rejected_before_generation(
+        self, tmp_path, capsys, n_train
+    ):
+        # The gap ratio needs two training points; nothing is generated.
+        out = tmp_path / "sweep"
+        argv = ["fmem-sweep", "--orders", "2", "--n-train", n_train, "--runs", "2"]
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert "n_train >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "fmem-sweep"])
+def test_missing_config_file_exits_1(tmp_path, capsys, command):
+    missing = tmp_path / "missing.json"
+    out = tmp_path / "out"
+    assert main([command, "--config", str(missing), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert not out.exists()
+
+
+# One non-default value per experiment field: (JSON value, flag string).
+SAMPLES = {
+    "orders": ([2, 3], "2,3"),
+    "dataset": (
+        {"kind": "ring", "radius": 2.0, "noise": 0.1},
+        "ring:radius=2,noise=0.1",
+    ),
+    "n_train": ([4, 16], "4,16"),
+    "runs": (7, "7"),
+    "tau": (0.25, "0.25"),
+    "l_inv": (2.0, "2"),
+    "alpha": (0.5, "0.5"),
+    "ou_xi": (3.0, "3"),
+    "aux_policy": ("both", "both"),
+    "seed": (11, "11"),
+    "out_dir": ("elsewhere", "elsewhere"),
+    "grid.t_start": (2.0, "2"),
+    "grid.t_end": (0.01, "0.01"),
+    "grid.steps": (50, "50"),
+    "grid.spacing": ("quadratic", "quadratic"),
+}
+# Every ExperimentConfig field, with the grid's own fields dotted.
+SCHEMA_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "grid"]
+SCHEMA_KEYS += [f"grid.{f.name}" for f in dataclasses.fields(TimeGrid)]
+
+
+def _nested(key, value):
+    head, dot, tail = key.partition(".")
+    return {head: {tail: value}} if dot else {key: value}
+
+
+def _flag(key):
+    """The flag spelling: ``grid.t_end`` is --t-end."""
+    return "--" + key.rpartition(".")[2].replace("_", "-")
+
+
+def _subparser(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+class TestExperimentSchema:
+    """A field added to ExperimentConfig or TimeGrid without a flag, a JSON
+    round trip or a flag that parses like its JSON value fails here."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env_seed(self, monkeypatch):
+        monkeypatch.delenv("HOLDLAB_SEED", raising=False)
+
+    def test_samples_cover_every_field(self):
+        assert sorted(SAMPLES) == sorted(SCHEMA_KEYS)
+
+    @pytest.mark.parametrize("command", ["generate", "fmem-sweep"])
+    def test_one_flag_per_field(self, command):
+        actions = _subparser(command)._actions
+        dests = sorted(a.dest for a in actions)
+        assert dests == sorted(SCHEMA_KEYS + ["config", "help"])
+        for key in SCHEMA_KEYS:
+            assert [a.option_strings for a in actions if a.dest == key] == [[_flag(key)]]
+
+    @pytest.mark.parametrize("key", SCHEMA_KEYS)
+    def test_json_round_trip(self, key):
+        cfg = config_from_dict(_nested(key, SAMPLES[key][0]))
+        assert cfg != ExperimentConfig()
+        assert config_from_dict(json.loads(json.dumps(cfg.to_json_dict()))) == cfg
+
+    @pytest.mark.parametrize("command", ["generate", "fmem-sweep"])
+    @pytest.mark.parametrize("key", SCHEMA_KEYS)
+    def test_flag_parses_like_json(self, command, key):
+        value, text = SAMPLES[key]
+        args = build_parser().parse_args([command, _flag(key), text])
+        assert _config_from_args(args) == config_from_dict(_nested(key, value))
+
+    @pytest.mark.parametrize(
+        "key, text", [("runs", "x"), ("aux_policy", "sometimes"), ("grid.steps", "1.5")]
+    )
+    def test_bad_flag_fails_like_bad_json(self, capsys, key, text):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(_nested(key, text))
+        assert main(["generate", _flag(key), text]) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 class TestTheoremCheckCommand:

@@ -73,6 +73,14 @@ class TestConfigFromDict:
         with pytest.raises(ConfigError):
             config_from_dict({"grid": {"t_end": 0.0}})
 
+    def test_bad_nested_value_is_config_error(self):
+        with pytest.raises(ConfigError, match="steps"):
+            config_from_dict({"grid": {"steps": "x"}})
+        with pytest.raises(ConfigError, match="must be an object"):
+            config_from_dict({"grid": 5})
+        with pytest.raises(ConfigError, match="orders"):
+            config_from_dict({"orders": 2.5})
+
     def test_policies(self):
         cfg = config_from_dict({"seed": 5, "aux_policy": "both"})
         names = [name for name, _ in cfg.policies()]
@@ -87,6 +95,12 @@ class TestConfigFromDict:
         monkeypatch.setenv("HOLDLAB_SEED", "not-an-int")
         with pytest.raises(ConfigError):
             config_from_dict({})
+
+    def test_env_seed_is_the_dataclass_default(self, monkeypatch):
+        monkeypatch.setenv("HOLDLAB_SEED", "777")
+        assert ExperimentConfig().seed == 777
+        monkeypatch.setenv("HOLDLAB_SEED", "not-an-int")
+        assert config_from_dict({"seed": 3}).seed == 3
 
 
 class TestLoadConfig:
@@ -111,6 +125,11 @@ class TestLoadConfig:
         assert cfg.grid.steps == 200
         assert cfg.grid.spacing == "quadratic"
         assert cfg.grid.t_end == 0.01
+
+    @pytest.mark.parametrize("key", ["grid.warp", "warp.steps", "stepz"])
+    def test_unknown_override_rejected(self, key):
+        with pytest.raises(ConfigError, match="unknown"):
+            load_config(None, {key: 1})
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "cfg.json"

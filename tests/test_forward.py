@@ -111,6 +111,27 @@ class TestCovarianceAt:
         with pytest.raises(ValueError):
             BlockCovariance(order=2, small=np.array([[1.0, 0.5], [0.2, 1.0]]), t=0.0)
 
+    def test_symmetry_tolerance_boundary(self):
+        # Accepted iff max |m - m^T| <= 1e-12, the np.allclose(atol=1e-12,
+        # rtol=0) rule it replaces; one bad block fails a whole stack.
+        edge = np.array([[1.0, 1e-12], [0.0, 1.0]])
+        past = np.array([[1.0, np.nextafter(1e-12, 1.0)], [0.0, 1.0]])
+        BlockCovariance(order=2, small=edge, t=0.0)
+        BlockCovariance(order=2, small=np.stack([edge, edge.T]), t=np.zeros(2))
+        with pytest.raises(ValueError, match="symmetric"):
+            BlockCovariance(order=2, small=past, t=0.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            BlockCovariance(order=2, small=np.stack([edge, past]), t=np.zeros(2))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_nan_rejected(self, entry):
+        small = np.eye(2)
+        small[entry] = small[entry[::-1]] = math.nan
+        with pytest.raises(ValueError, match="symmetric"):
+            BlockCovariance(order=2, small=small, t=0.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            BlockCovariance(order=2, small=np.stack([np.eye(2), small]), t=np.zeros(2))
+
 
 class TestCholeskyBlock:
     def test_identity(self):
