@@ -51,7 +51,7 @@ from .filters import (
     frequency_magnitude,
     impulse_response,
 )
-from .forward import initial_covariance
+from .forward import initial_covariance, schedule
 from .metrics import collapse_curve, fmem, gaussian_w2
 from .sampler import pf_ode_endpoints
 from .score import Dataset, empirical_score_fn
@@ -203,7 +203,8 @@ def _generate_endpoints(
     train = training_points(config.dataset, n_train, config.seed)
     dataset = Dataset(train)
     sigma0 = initial_covariance(params, policy)
-    score_fn = empirical_score_fn(dataset, params, sigma0, policy)
+    sched = schedule(params, sigma0, config.grid.times())
+    score_fn = empirical_score_fn(dataset, params, sigma0, policy, schedule=sched)
     positions, ok, failures = pf_ode_endpoints(
         params,
         score_fn,

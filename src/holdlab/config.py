@@ -15,6 +15,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .core import MAX_ORDER
 from .datasets import (
     CsvFileSpec,
     DatasetSpec,
@@ -67,8 +68,10 @@ class ExperimentConfig:
             raise ConfigError("tau must lie in (0, 1)")
         if self.l_inv <= 0 or self.alpha <= 0 or self.ou_xi <= 0:
             raise ConfigError("l_inv, alpha, and ou_xi must be positive")
-        if not self.orders or any(o < 1 for o in self.orders):
-            raise ConfigError("orders must be a nonempty list of integers >= 1")
+        if not self.orders or any(not 1 <= o <= MAX_ORDER for o in self.orders):
+            raise ConfigError(
+                f"orders must be a nonempty list of integers in [1, {MAX_ORDER}]"
+            )
         if not self.n_train or any(m < 1 for m in self.n_train):
             raise ConfigError("n_train must be a positive integer or list of them")
         if self.aux_policy not in _POLICY_NAMES:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -72,16 +73,18 @@ class CsvFileSpec:
 DatasetSpec = GaussianMixtureSpec | RingSpec | GridSpec | CsvFileSpec
 
 
+@lru_cache(maxsize=64)
 def _mixture_centers(spec: GaussianMixtureSpec, seed: int) -> np.ndarray:
+    """The (k, dim) cluster centers, read-only: the rejection loop runs once
+    per (spec, seed), not once per training or held-out draw."""
     rng = np.random.default_rng([seed, _CENTER_STREAM])
-    if spec.k == 1:
-        return rng.standard_normal((1, spec.dim)) * spec.spread
     while True:
         centers = rng.standard_normal((spec.k, spec.dim)) * spec.spread
         diffs = centers[:, None, :] - centers[None, :, :]
         dists = np.sqrt((diffs**2).sum(axis=2))
-        np.fill_diagonal(dists, np.inf)
+        np.fill_diagonal(dists, np.inf)  # k = 1 takes the first draw
         if dists.min() >= spec.spread:
+            centers.flags.writeable = False
             return centers
 
 

@@ -6,7 +6,8 @@ factored at n x n scale and Kronecker-lifted; the full n*h x n*h covariance
 is never materialized.  Every function also takes a (T,) array of times
 and then works on a (T, n, n) stack whose slices equal the single-time
 results bit for bit; ``cholesky_block`` is the single-time view of
-``cholesky_stack``.  The small-t noise covariance is a cancellation-free sum.
+``cholesky_stack``, and ``schedule`` gathers every stacked piece of an
+array of times.  The small-t noise covariance is a cancellation-free sum.
 """
 
 from __future__ import annotations
@@ -177,6 +178,50 @@ def cholesky_block(
         raise ValueError("cholesky_block factors one time; use cholesky_stack")
     factor, delta = cholesky_stack(cov, floor)
     return factor, float(delta)
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """The n x n forward pieces at a (T,) array of times, as (T, n, n)
+    stacks: ``expm`` = exp(Ft), ``cov`` = Sigma_t, its factor ``chol`` with
+    ``chol @ chol^T = Sigma_t + delta I`` and the inverse ``chol_inv``."""
+
+    expm: np.ndarray
+    cov: BlockCovariance
+    chol: np.ndarray
+    chol_inv: np.ndarray
+    delta: np.ndarray
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.cov.t
+
+
+def schedule(params: HoldParams, sigma0: BlockCovariance, times) -> Schedule:
+    """Every n x n piece a consumer of times ``times`` needs, built by one
+    stacked call per stage.  Slice k equals the single-time calls at
+    ``times[k]`` bit for bit (``cholesky_block`` for the factor).
+
+    The last schedule is kept, read-only: ``mc_loss`` and the exact score it
+    calls ask for the same block of times, which is then factored once.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("schedule needs a (T,) array of times")
+    small = np.asarray(sigma0.small, dtype=float)
+    return _schedule(params, sigma0.order, small.tobytes(), times.tobytes())
+
+
+@lru_cache(maxsize=1)
+def _schedule(params: HoldParams, order: int, small: bytes, times: bytes) -> Schedule:
+    sigma0 = BlockCovariance(order, np.frombuffer(small).reshape(order, order), 0.0)
+    t = np.frombuffer(times)
+    cov = covariance_at(params, sigma0, t)
+    factor, delta = cholesky_stack(cov)
+    out = Schedule(expm_at(params, t), cov, factor, np.linalg.inv(factor), delta)
+    for arr in (out.expm, cov.small, factor, out.chol_inv, delta):
+        arr.flags.writeable = False
+    return out
 
 
 def sample_forward(

@@ -42,8 +42,10 @@ class FmemReport:
 def fmem(generated, train, tau: float = 0.333) -> FmemReport:
     """Fraction of generated samples whose gap ratio d1/d2 falls below tau.
 
-    Exact brute-force L2 nearest and second-nearest neighbors; the interval
-    is the sample-proportion normal approximation p +- 1.96 sqrt(p(1-p)/B),
+    Exact brute-force L2 nearest and second-nearest neighbors among the
+    distinct training points (a repeated point counts once, and
+    ``nn_index`` names its first occurrence); the interval is the
+    sample-proportion normal approximation p +- 1.96 sqrt(p(1-p)/B),
     clamped to [0, 1].  An exact duplicate of a training point gets gap
     ratio 0 regardless of the second neighbor.
     """
@@ -55,13 +57,15 @@ def fmem(generated, train, tau: float = 0.333) -> FmemReport:
         trn = trn[:, None]
     if gen.shape[0] == 0:
         raise ValueError("generated set is empty")
-    if trn.shape[0] < 2:
-        raise ValueError("need at least two training points for a gap ratio")
     if gen.shape[1] != trn.shape[1]:
         raise ValueError("generated and training dimensions differ")
+    first = np.sort(np.unique(trn, axis=0, return_index=True)[1])
+    if len(first) < 2:
+        raise ValueError("need at least two distinct training points for a gap ratio")
 
+    trn = trn[first]
     dists = np.sqrt(((gen[:, None, :] - trn[None, :, :]) ** 2).sum(axis=2))
-    nn_index = np.argmin(dists, axis=1)
+    nn_index = first[np.argmin(dists, axis=1)]
     two = np.partition(dists, 1, axis=1)[:, :2]
     d1, d2 = two[:, 0], two[:, 1]
     with np.errstate(divide="ignore", invalid="ignore"):

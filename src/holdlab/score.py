@@ -13,11 +13,21 @@ One kernel serves every order: at order 1 (the Ornstein-Uhlenbeck process)
 the mixture covariance is the scalar l_inv (1 - exp(-2 xi t)) and the same
 code gives the first-order empirical score.
 
+The kernel works component-major.  A (B, n*h) batch is whitened into
+contiguous (n*h, B) columns by one (n, n) @ (n, h*B) GEMM; the squared
+distances to the N whitened centers accumulate into an (N, B) array one
+coordinate row at a time, the log-weights are reduced over the component
+axis 0, and the mean sum_k w_k c~_k is one (n*h, N) @ (N, B) GEMM, mapped
+back through L^{-T} by the same block GEMM.  Results keep the row-major
+shapes: (B, n*h) scores, (B, N) responsibilities.
+
 A mixture built at a (B,) array of times, one per row of a (B, n*h) batch,
 carries a leading B axis on its factors and whitened centers, and the same
-kernel broadcasts over it.  Score callbacks are ``score_fn(u, t)`` -> (B, h)
-last-block scores for u of shape (B, n*h), with t a float (the samplers) or
-a (B,) array (``mc_loss``).
+kernel broadcasts over it.  The n x n pieces of a mixture come from a
+``forward.schedule``; ``empirical_score_fn`` takes the schedule of a whole
+time grid, so a sampler factors its grid once.  Score callbacks are
+``score_fn(u, t)`` -> (B, h) last-block scores for u of shape (B, n*h),
+with t a float (the samplers) or a (B,) array (``mc_loss``).
 """
 
 from __future__ import annotations
@@ -26,15 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HoldParams, LiftedState, T_EPS, expm_at, kron_apply
-from .forward import (
-    AuxPolicy,
-    BlockCovariance,
-    cholesky_block,
-    cholesky_stack,
-    covariance_at,
-    lift_data,
-)
+from .core import HoldParams, LiftedState, T_EPS, kron_apply
+from .forward import AuxPolicy, BlockCovariance, Schedule, lift_data, schedule
 
 # Samples per batched step of mc_loss: bounds the (B, N, n*h) whitened
 # centers built per step (peak memory); larger blocks run no faster.
@@ -107,22 +110,31 @@ def mixture_at(
     t,
 ) -> EmpiricalMixture:
     """Time-t empirical mixture: centers exp(Ft) u0^(k), covariance Sigma_t."""
+    stack = np.ndim(t) > 0
+    sched = schedule(params, sigma0, t if stack else [t])
+    return _mixture(dataset, params, policy, sched, slice(None) if stack else 0)
+
+
+def _mixture(
+    dataset: Dataset, params: HoldParams, policy: AuxPolicy, sched: Schedule, k
+) -> EmpiricalMixture:
+    """The mixture at ``sched.times[k]``: one time for an integer k, the
+    stack for a slice."""
     if dataset.n_train == 0:
         raise ValueError("dataset is empty")
-    n, h = params.order, dataset.h
+    h = dataset.h
+    t, inv, shift = sched.times[k], sched.chol_inv[k], sched.delta[k]
+    if np.ndim(t) == 0:
+        t, shift = float(t), float(shift)
     lifted = dataset.lifted(params, policy)
-    e = expm_at(params, t)
-    centers = kron_apply(e[..., None, :, :], lifted, h)
-    cov = covariance_at(params, sigma0, t)
-    factor, shift = (cholesky_stack if np.ndim(t) else cholesky_block)(cov)
-    inv = np.linalg.inv(factor)
+    centers = kron_apply(sched.expm[k][..., None, :, :], lifted, h)
     return EmpiricalMixture(
-        order=n,
+        order=params.order,
         block_dim=h,
         centers=centers,
-        cov=cov,
+        cov=BlockCovariance(params.order, sched.cov.small[k], t),
         t=t,
-        chol=factor,
+        chol=sched.chol[k],
         chol_shift=shift,
         chol_inv=inv,
         white_centers=kron_apply(inv[..., None, :, :], centers, h),
@@ -140,31 +152,55 @@ def _as_batch(mix: EmpiricalMixture, u) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-def _log_weights(mix: EmpiricalMixture, u):
-    """(y, lw, m, single): whitened batch, log-weights less row maxima m.
+def _block_apply(mat: np.ndarray, cols: np.ndarray, h: int) -> np.ndarray:
+    """(mat x I_h) @ cols for (n*h, B) columns, as one (n, n) @ (n, h*B) GEMM."""
+    return (mat @ cols.reshape(mat.shape[-1], -1)).reshape(cols.shape)
 
-    lw[b, k] = -|y_b - c~_k|^2 / 2 - m_b over the whitened centers c~_k.
+
+def _log_weights(mix: EmpiricalMixture, u):
+    """(y, lw, m, single): the whitened batch as (n*h, B) columns, and the
+    (N, B) log-weights less their column maxima m.
+
+    lw[k, b] = -|y_b - c~_k|^2 / 2 - m_b over the whitened centers c~_k,
+    summed one coordinate row at a time.
     """
     batch, single = _as_batch(mix, u)
-    y = kron_apply(mix.chol_inv, batch, mix.block_dim)
-    diffs = y[:, None, :] - mix.white_centers
-    lw = -0.5 * np.einsum("bkj,bkj->bk", diffs, diffs)
-    m = lw.max(axis=1)
-    return y, lw - m[:, None], m, single
+    white = mix.white_centers
+    if white.ndim == 2:
+        y = _block_apply(mix.chol_inv, batch.T, mix.block_dim)
+        rows = white.T[:, :, None]
+    else:
+        y = kron_apply(mix.chol_inv, batch, mix.block_dim).T
+        rows = white.transpose(2, 1, 0)
+    sq = np.zeros((white.shape[-2], len(batch)))
+    diff = np.empty_like(sq)
+    for y_row, c_row in zip(y, rows):
+        np.subtract(y_row, c_row, out=diff)
+        diff *= diff
+        sq += diff
+    lw = -0.5 * sq
+    m = lw.max(axis=0)
+    lw -= m
+    return y, lw, m, single
+
+
+def _weights(lw: np.ndarray) -> np.ndarray:
+    w = np.exp(lw)
+    w /= w.sum(axis=0)
+    return w
 
 
 def responsibilities(mix: EmpiricalMixture, u) -> np.ndarray:
     """Posterior component weights at u; rows sum to 1."""
     _, lw, _, single = _log_weights(mix, u)
-    w = np.exp(lw)
-    w /= w.sum(axis=1, keepdims=True)
+    w = _weights(lw).T
     return w[0] if single else w
 
 
 def log_density_shifted(mix: EmpiricalMixture, u) -> np.ndarray | float:
     """log p up to a u-independent constant (normalizer and 1/N dropped)."""
     _, lw, m, single = _log_weights(mix, u)
-    out = m + np.log(np.exp(lw).sum(axis=1))
+    out = m + np.log(np.exp(lw).sum(axis=0))
     return float(out[0]) if single else out
 
 
@@ -176,12 +212,13 @@ def score_full(mix: EmpiricalMixture, u) -> np.ndarray:
     whitened centers c~_k.
     """
     y, lw, _, single = _log_weights(mix, u)
-    w = np.exp(lw)
-    w /= w.sum(axis=1, keepdims=True)
-    white = mix.white_centers
-    # A shared time keeps one (B, N) @ (N, n*h) GEMM.
-    mean = w @ white if white.ndim == 2 else (w[:, None, :] @ white)[:, 0]
-    out = kron_apply(mix.chol_inv.swapaxes(-1, -2), mean - y, mix.block_dim)
+    w = _weights(lw)
+    white, inv_t, h = mix.white_centers, mix.chol_inv.swapaxes(-1, -2), mix.block_dim
+    if white.ndim == 2:  # a shared time: two GEMMs on the columns
+        out = _block_apply(inv_t, white.T @ w - y, h).T
+    else:
+        mean = (w.T[:, None, :] @ white)[:, 0]
+        out = kron_apply(inv_t, mean - y.T, h)
     return out[0] if single else out
 
 
@@ -197,24 +234,33 @@ def empirical_score_fn(
     params: HoldParams,
     sigma0: BlockCovariance,
     policy: AuxPolicy,
+    *,
+    schedule: Schedule | None = None,
 ):
     """Callback (u, t) -> last-block score of the time-t empirical mixture.
 
-    Keeps the mixtures of the last two scalar times: a Heun step starts
-    where the previous one ended, so each grid time is built once.
+    A float t held by ``schedule`` (exact equality: the samplers pass
+    ``float(times[k])``) takes its n x n pieces from it; any other time
+    builds them with ``mixture_at``.  The mixture of the last float time is
+    kept: a Heun step starts where the previous one ended, so each grid
+    time is built once.
     """
-    memo: dict[float, EmpiricalMixture] = {}
+    times = [] if schedule is None else schedule.times.tolist()
+    index = {t: k for k, t in enumerate(times)}
+    last_t, last_mix = None, None
 
     def fn(u, t):
+        nonlocal last_t, last_mix
         if np.ndim(t):
             return score_last_block(mixture_at(dataset, params, sigma0, policy, t), u)
-        mix = memo.get(t)
-        if mix is None:
-            mix = mixture_at(dataset, params, sigma0, policy, t)
-            if len(memo) == 2:
-                del memo[next(iter(memo))]
-            memo[t] = mix
-        return score_last_block(mix, u)
+        if t != last_t:
+            k = index.get(t)
+            if k is None:
+                last_mix = mixture_at(dataset, params, sigma0, policy, t)
+            else:
+                last_mix = _mixture(dataset, params, policy, schedule, k)
+            last_t = t
+        return score_last_block(last_mix, u)
 
     return fn
 
@@ -253,10 +299,10 @@ def mc_loss(
     for lo in range(0, n_mc, _MC_BLOCK):
         block = slice(lo, lo + _MC_BLOCK)
         t, eps = times[block], noise[block]
-        factor, _ = cholesky_stack(covariance_at(params, sigma0, t))
-        u_t = kron_apply(expm_at(params, t), lifted[picks[block]], h)
-        u_t += kron_apply(factor, eps, h)
+        sched = schedule(params, sigma0, t)
+        u_t = kron_apply(sched.expm, lifted[picks[block]], h)
+        u_t += kron_apply(sched.chol, eps, h)
         s = np.broadcast_to(np.asarray(score_fn(u_t, t), dtype=float), (len(t), h))
-        resid = eps[:, -h:] + s * factor[:, -1:, -1]
+        resid = eps[:, -h:] + s * sched.chol[:, -1:, -1]
         total += float(np.einsum("bj,bj->", resid, resid))
     return total / n_mc

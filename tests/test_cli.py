@@ -16,8 +16,16 @@ from holdlab import (
     critically_damped_params,
     forced_ode_positions,
 )
-from holdlab.cli import _config_from_args, _forcing_values, build_parser, main
-from holdlab.config import ConfigError, ExperimentConfig, config_from_dict
+from holdlab import forward
+from holdlab import score as score_module
+from holdlab.cli import (
+    _config_from_args,
+    _forcing_values,
+    _generate_endpoints,
+    build_parser,
+    main,
+)
+from holdlab.config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from holdlab.sampler import TimeGrid
 
 
@@ -478,6 +486,50 @@ class TestFmemSweepCommand:
         assert main(argv + ["--out-dir", str(out)]) == 2
         assert "n_train >= 2" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_one_stacked_factorization_per_order(monkeypatch):
+    # The grid's schedule is factored once per order; no grid time falls
+    # back to a single-time factor or a fresh mixture_at.
+    stacks, blocks = [], []
+    real_stack, real_block = forward.cholesky_stack, forward.cholesky_block
+
+    def stack(cov, *args):
+        stacks.append(cov.small.shape)
+        return real_stack(cov, *args)
+
+    def block(cov, *args):
+        blocks.append(cov.t)
+        return real_block(cov, *args)
+
+    monkeypatch.setattr(forward, "cholesky_stack", stack)
+    monkeypatch.setattr(forward, "cholesky_block", block)
+    monkeypatch.setattr(score_module, "mixture_at", None)  # never reached
+    forward._schedule.cache_clear()
+    config = load_config(None, {"grid.steps": 250, "runs": 4})
+    for order in config.orders:
+        _generate_endpoints(config, order, 8, config.policies()[0][1], 0)
+    assert stacks == [(251, n, n) for n in config.orders]
+    assert blocks == []
+
+
+@pytest.mark.parametrize("command", ["generate", "fmem-sweep"])
+def test_order_above_cap_exits_2_before_writing(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--orders", "2,40", "--runs", "2", "--steps", "10"]
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert "orders must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_training_point_exits_2(tmp_path, capsys):
+    # A one-point lattice repeated four times has no second-nearest
+    # distinct training point, so there is no gap ratio.
+    argv = ["fmem-sweep", "--orders", "2", "--n-train", "4", "--runs", "2"]
+    argv += ["--steps", "10", "--dataset", "grid:side=1,dim=1"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    assert "distinct training points" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "fmem-sweep"])

@@ -11,6 +11,7 @@ from holdlab.config import (
     load_config,
     parse_dataset,
 )
+from holdlab.core import MAX_ORDER
 from holdlab.datasets import CsvFileSpec, GaussianMixtureSpec, GridSpec, RingSpec
 from holdlab.forward import FixedPerSample, Marginalized
 
@@ -52,6 +53,11 @@ class TestConfigFromDict:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"stepz": 10})
+
+    def test_orders_capped_at_max_order(self):
+        assert config_from_dict({"orders": [1, MAX_ORDER]}).orders == [1, MAX_ORDER]
+        with pytest.raises(ConfigError, match=str(MAX_ORDER)):
+            config_from_dict({"orders": [2, MAX_ORDER + 1]})
 
     def test_unknown_grid_key_rejected(self):
         with pytest.raises(ConfigError):

@@ -11,6 +11,7 @@ from holdlab import (
     heldout_points,
     training_points,
 )
+from holdlab.datasets import _mixture_centers
 
 
 class TestGaussianMixture:
@@ -50,6 +51,37 @@ class TestGaussianMixture:
             GaussianMixtureSpec(k=0, spread=1.0)
         with pytest.raises(ValueError):
             GaussianMixtureSpec(k=2, spread=-1.0)
+
+
+def rejection_loop(spec, seed):
+    """The center draw without the memo: redraw until every pair of
+    centers is at least ``spread`` apart (one center: the first draw)."""
+    rng = np.random.default_rng([seed, 17])
+    while True:
+        centers = rng.standard_normal((spec.k, spec.dim)) * spec.spread
+        d = np.sqrt(((centers[:, None] - centers[None, :]) ** 2).sum(-1))
+        np.fill_diagonal(d, np.inf)
+        if spec.k == 1 or d.min() >= spec.spread:
+            return centers
+
+
+class TestCentersMemo:
+    @pytest.mark.parametrize("k,dim", [(1, 2), (3, 1), (8, 2), (4, 3)])
+    def test_draws_unchanged(self, k, dim):
+        spec = GaussianMixtureSpec(k=k, spread=6.0, dim=dim)
+        for seed in range(4):
+            got = _mixture_centers(spec, seed)
+            assert got.tobytes() == rejection_loop(spec, seed).tobytes()
+            assert not got.flags.writeable
+
+    def test_second_call_is_a_cache_hit(self):
+        spec = GaussianMixtureSpec(k=8, spread=6.0, dim=2)
+        _mixture_centers.cache_clear()
+        first = training_points(spec, 8, seed=9)
+        heldout_points(spec, 256, seed=9)
+        assert training_points(spec, 8, seed=9).tobytes() == first.tobytes()
+        info = _mixture_centers.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestRing:

@@ -22,7 +22,7 @@ from holdlab import (
     sample_forward,
 )
 from holdlab.core import expm_at
-from holdlab.forward import cholesky_stack
+from holdlab.forward import cholesky_stack, schedule
 
 
 def zero_cov(n):
@@ -256,6 +256,43 @@ class TestTimeStack:
             BlockCovariance(order=2, small=stack.small, t=0.5)
         with pytest.raises(ValueError):
             covariance_at(p, zero_cov(2), np.array([0.5, -0.1]))
+
+
+class TestSchedule:
+    """``schedule`` slices equal the single-time forward calls bit for bit."""
+
+    @pytest.mark.parametrize("policy", [FixedPerSample(seed=0), Marginalized()])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_slices_match_single_times(self, n, policy):
+        p = HoldParams(1, (), 1.5, 1.0) if n == 1 else critically_damped_params(n)
+        s0 = initial_covariance(p, policy)
+        times = np.geomspace(1e-3, 10.0, 41)
+        sched = schedule(p, s0, times)
+        assert np.array_equal(sched.times, times)
+        assert not sched.chol_inv.flags.writeable  # shared with later callers
+        for i, t in enumerate(times.tolist()):
+            cov = covariance_at(p, s0, t)
+            factor, delta = cholesky_block(cov)
+            assert np.array_equal(sched.expm[i], expm_at(p, t))
+            assert np.array_equal(sched.cov.small[i], cov.small)
+            assert np.array_equal(sched.chol[i], factor)
+            assert np.array_equal(sched.chol_inv[i], np.linalg.inv(factor))
+            assert sched.delta[i] == delta
+
+    def test_delta_floors_the_same_slices_as_cholesky_block(self):
+        # Marginalized order 5 floors at t = 1e-3 (see TestTimeStack).
+        p = critically_damped_params(5)
+        s0 = initial_covariance(p, Marginalized())
+        times = np.array([1.0, 1e-3, 0.5, 1e-3, 2e-3])
+        sched = schedule(p, s0, times)
+        want = [cholesky_block(covariance_at(p, s0, t))[1] for t in times.tolist()]
+        assert sched.delta.tolist() == want
+        assert want[1] > 0.0
+
+    def test_needs_an_array_of_times(self):
+        p = critically_damped_params(2)
+        with pytest.raises(ValueError):
+            schedule(p, zero_cov(2), 0.5)
 
 
 class TestSampleForward:

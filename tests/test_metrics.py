@@ -58,6 +58,21 @@ class TestFmem:
         with pytest.raises(ValueError):
             fmem(np.array([[0.0]]), np.array([[1.0]]))
 
+    def test_repeated_training_points_count_once(self):
+        # d1 and d2 are taken over distinct points; nn_index names the
+        # first occurrence, as for the training set without repeats.
+        distinct = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
+        train = distinct[[0, 1, 0, 2, 1, 1]]
+        gen = np.random.default_rng(4).uniform(-1.0, 5.0, size=(50, 2))
+        rep, want = fmem(gen, train), fmem(gen, distinct)
+        assert np.array_equal(rep.gap_ratios, want.gap_ratios)
+        assert rep.fraction == want.fraction > 0.0
+        assert np.array_equal(rep.nn_index, np.array([0, 1, 3])[want.nn_index])
+
+    def test_needs_two_distinct_training_points(self):
+        with pytest.raises(ValueError, match="distinct"):
+            fmem(np.array([[0.0], [2.0]]), np.array([[1.0], [1.0], [1.0]]))
+
     def test_ci_formula(self):
         train = np.array([[0.0], [10.0]])
         gen = np.array([[0.1]] * 3 + [[5.0]])

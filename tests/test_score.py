@@ -27,9 +27,11 @@ from holdlab import (
     score_full,
     score_last_block,
 )
+from holdlab import forward
 from holdlab import score as score_module
 from holdlab.core import expm_at
 from holdlab.datasets import GaussianMixtureSpec, training_points
+from holdlab.forward import schedule
 from holdlab.score import log_density_shifted
 from test_sampler import ou_score
 
@@ -348,6 +350,22 @@ class TestMcLossBlocks:
         if n_mc > 1:
             assert floored > 0
 
+    def test_each_block_is_factored_once(self, monkeypatch):
+        # mc_loss and the exact score it calls share the block's schedule.
+        ds, params, s0, pol = criterion07_setup(3)
+        opt = empirical_score_fn(ds, params, s0, pol)
+        stacks = []
+        real = forward.cholesky_stack
+
+        def counting(cov, *args):
+            stacks.append(len(cov.t))
+            return real(cov, *args)
+
+        monkeypatch.setattr(forward, "cholesky_stack", counting)
+        forward._schedule.cache_clear()
+        mc_loss(opt, ds, params, s0, pol, 2 * self.BLOCK + 37, rng_seed=501)
+        assert stacks == [self.BLOCK, self.BLOCK, 37]
+
     def test_callback_sees_batches_of_times(self):
         ds, params, s0, pol = criterion07_setup(2)
         seen = []
@@ -503,8 +521,8 @@ class TestScoreMemo:
             assert np.array_equal(fn(u, t), fresh)
 
     def test_array_times_bypass_memo(self, monkeypatch):
-        # An array-time call builds its own mixture and leaves the memo of
-        # scalar times alone.
+        # An array-time call builds its own mixture and leaves the mixture
+        # of the last scalar time alone.
         ds, params, s0, pol = self._setup()
         real = score_module.mixture_at
         built = []
@@ -517,9 +535,9 @@ class TestScoreMemo:
         fn = empirical_score_fn(ds, params, s0, pol)
         u = np.random.default_rng(2).standard_normal((3, 6))
         times = np.array([0.2, 0.4, 0.6])
-        for t in (1.0, 0.5, times, 1.0, 0.5, times):
+        for t in (1.0, times, 1.0, times):
             fn(u, t)
-        assert built == [0, 0, 1, 1]
+        assert built == [0, 1, 1]
         singles = [real(ds, params, s0, pol, t) for t in times]
         want = np.stack([score_last_block(m, row) for m, row in zip(singles, u)])
         assert np.abs(fn(u, times) - want).max() <= 1e-12 * np.abs(want).max()
@@ -545,3 +563,125 @@ class TestScoreMemo:
         assert len(times) == builds
         assert times == [float(t) for t in grid.times()[:builds]]
         assert sum(ref() is not None for ref in live) <= 2
+
+
+def rowmajor_kernel(mix, batch):
+    """The (B, N, n*h) kernel that the component-major one replaced.
+
+    Returns (score, responsibilities, log p, scale), where scale is
+    |L^{-T} mean| + |L^{-T} y| per row: the two terms whose difference is
+    the score, before they cancel.
+    """
+    h, inv_t = mix.block_dim, mix.chol_inv.swapaxes(-1, -2)
+    y = kron_apply(mix.chol_inv, batch, h)
+    diffs = y[:, None, :] - mix.white_centers
+    lw = -0.5 * np.einsum("bkj,bkj->bk", diffs, diffs)
+    m = lw.max(axis=1)
+    lw = lw - m[:, None]
+    w = np.exp(lw)
+    w /= w.sum(axis=1, keepdims=True)
+    logp = m + np.log(np.exp(lw).sum(axis=1))
+    white = mix.white_centers
+    mean = w @ white if white.ndim == 2 else (w[:, None, :] @ white)[:, 0]
+    score = kron_apply(inv_t, mean - y, h)
+    scale = np.linalg.norm(kron_apply(inv_t, mean, h), axis=1) + np.linalg.norm(
+        kron_apply(inv_t, y, h), axis=1
+    )
+    return score, w, logp, scale
+
+
+class TestComponentMajorKernel:
+    """The component-major kernel against the row-major one it replaced.
+
+    Only the order of the sums over coordinates and components differs.
+    Bounds, all 1e-14 (measured at most 6.4e-16, 5.6e-16 and 8.9e-16): the
+    score relative to ``scale``, the responsibilities absolutely, log p
+    relative to max(1, |log p|).  With one component, and with one-hot
+    weights (N = 8 at t = 1e-3), the score and the weights were equal to the
+    bit, and must stay so.
+    """
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 10.0])
+    @pytest.mark.parametrize("n_train", [1, 8, 256])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_rowmajor_kernel(self, n, n_train, t, shared):
+        params = ou_params() if n == 1 else critically_damped_params(n)
+        pol = FixedPerSample(seed=3)
+        s0 = initial_covariance(params, pol)
+        rng = np.random.default_rng([n, n_train])
+        ds = Dataset(3.0 * rng.standard_normal((n_train, 2)))
+        batch = 40
+        pick = rng.integers(n_train, size=batch)
+        eps = rng.standard_normal((batch, 2 * n))
+        if shared:
+            mix = mixture_at(ds, params, s0, pol, t)
+            near = mix.centers[pick]
+        else:
+            times = t * rng.uniform(0.5, 2.0, size=batch)
+            mix = mixture_at(ds, params, s0, pol, times)
+            near = mix.centers[np.arange(batch), pick]
+        u = near + kron_apply(mix.chol, eps, 2)
+        score_ref, w_ref, logp_ref, scale = rowmajor_kernel(mix, u)
+        score, w = score_full(mix, u), responsibilities(mix, u)
+        logp = log_density_shifted(mix, u)
+        assert score.shape == u.shape and w.shape == (batch, n_train)
+        assert (np.linalg.norm(score - score_ref, axis=1) / scale).max() <= 1e-14
+        assert np.abs(w - w_ref).max() <= 1e-14
+        rel_logp = np.abs(logp - logp_ref) / np.maximum(1.0, np.abs(logp_ref))
+        assert rel_logp.max() <= 1e-14
+        if n_train == 1 or (n_train == 8 and t == 1e-3):
+            assert np.array_equal(score, score_ref)
+            assert np.array_equal(w, w_ref)
+
+
+def scalar_pieces(ds, params, s0, pol, t):
+    """A single-time mixture's fields as built before schedules: scalar
+    ``expm_at``, ``covariance_at``, ``cholesky_block`` and inverse."""
+    h = ds.h
+    centers = kron_apply(expm_at(params, t)[None], ds.lifted(params, pol), h)
+    cov = covariance_at(params, s0, t)
+    factor, shift = cholesky_block(cov)
+    inv = np.linalg.inv(factor)
+    white = kron_apply(inv[None], centers, h)
+    return centers, cov.small, factor, shift, inv, white
+
+
+class TestScheduledMixture:
+    @pytest.mark.parametrize("policy", [FixedPerSample(seed=3), Marginalized()])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fields_equal_scalar_mixture_bit_for_bit(self, n, policy):
+        params = ou_params() if n == 1 else critically_damped_params(n)
+        s0 = initial_covariance(params, policy)
+        ds = Dataset(np.random.default_rng(n).standard_normal((8, 2)) * 3.0)
+        quadratic = TimeGrid(t_end=1e-3, steps=100, spacing="quadratic")
+        for times in (TimeGrid(steps=100).times(), quadratic.times()):
+            sched = schedule(params, s0, times)
+            for k, t in enumerate(times.tolist()):
+                mix = score_module._mixture(ds, params, policy, sched, k)
+                one = mixture_at(ds, params, s0, policy, t)
+                want = scalar_pieces(ds, params, s0, policy, t)
+                for m in (mix, one):
+                    got = (m.centers, m.cov.small, m.chol, m.chol_shift, m.chol_inv,
+                           m.white_centers)
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                    assert type(m.t) is float and m.t == m.cov.t == t
+                    assert type(m.chol_shift) is float
+
+    def test_score_fn_builds_each_grid_time_once_from_the_schedule(self, monkeypatch):
+        ds, params, s0, pol = criterion07_setup(3)
+        grid = TimeGrid(steps=40)
+        sched = schedule(params, s0, grid.times())
+        built = []
+        real = score_module._mixture
+        monkeypatch.setattr(
+            score_module, "_mixture", lambda *a: built.append(a[-1]) or real(*a)
+        )
+        monkeypatch.setattr(score_module, "mixture_at", None)  # never reached
+        fn = empirical_score_fn(ds, params, s0, pol, schedule=sched)
+        got, *_ = pf_ode_endpoints(params, fn, grid, rng_seed=5, h=2, runs=6)
+        assert built == list(range(41))
+        monkeypatch.undo()
+        fallback = empirical_score_fn(ds, params, s0, pol)
+        want, *_ = pf_ode_endpoints(params, fallback, grid, rng_seed=5, h=2, runs=6)
+        assert np.array_equal(got, want)
