@@ -36,11 +36,11 @@ from .config import (
     write_resolved_config,
 )
 from .core import (
-    HoldParams,
     LiftedState,
+    _order_params,
+    build_forward_matrix,
     critically_damped_params,
     damped_eigenvalue,
-    build_forward_matrix,
 )
 from .datasets import heldout_points, training_points
 from .errors import HoldLabError
@@ -71,16 +71,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _order_params(
-    order: int, xi: float = 1.0, l_inv: float = 1.0, alpha: float = 1.0
-) -> HoldParams:
-    """Order 1 is the OU baseline with friction xi; higher orders are
-    critically damped, with their own friction."""
-    if order == 1:
-        return HoldParams(order=1, gammas=(), xi=xi, l_inv=l_inv, alpha=alpha)
-    return critically_damped_params(order, l_inv=l_inv, alpha=alpha)
 
 
 def _labelled_params(orders, command: str, xi: float = 1.0) -> list:
@@ -194,13 +184,12 @@ def cmd_collapse(args) -> int:
 def _generate_endpoints(
     config: ExperimentConfig,
     order: int,
-    n_train: int,
+    train: np.ndarray,
     policy,
     policy_idx: int,
 ):
-    """Shared generation core: returns (positions, ok mask, failures, train)."""
+    """Shared generation core: returns (positions, ok mask, failures)."""
     params = _order_params(order, config.ou_xi, config.l_inv, config.alpha)
-    train = training_points(config.dataset, n_train, config.seed)
     dataset = Dataset(train)
     sigma0 = initial_covariance(params, policy)
     sched = schedule(params, sigma0, config.grid.times())
@@ -209,11 +198,11 @@ def _generate_endpoints(
         params,
         score_fn,
         config.grid,
-        rng_seed=[config.seed, order, n_train, policy_idx],
+        rng_seed=[config.seed, order, len(train), policy_idx],
         h=train.shape[1],
         runs=config.runs,
     )
-    return positions, ok, failures, train
+    return positions, ok, failures
 
 
 def _failure_exit(diverged: int, total_runs: int) -> int:
@@ -236,7 +225,7 @@ def cmd_generate(args) -> int:
         raise ConfigError("generate needs a single n_train value")
     if config.aux_policy == "both":
         raise ConfigError("generate needs a single aux_policy")
-    n_train = config.n_train[0]
+    train = training_points(config.dataset, config.n_train[0], config.seed)
     policy = config.policies()[0][1]
     out_dir = Path(config.out_dir)
     failure_rows: list[list] = []
@@ -244,9 +233,7 @@ def cmd_generate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved_config(config, out_dir)
     for order in config.orders:
-        positions, ok, failures, _ = _generate_endpoints(
-            config, order, n_train, policy, 0
-        )
+        positions, ok, failures = _generate_endpoints(config, order, train, policy, 0)
         total_runs += config.runs
         header = ["run"] + [f"x{i}" for i in range(positions.shape[1])]
         rows = [
@@ -267,6 +254,15 @@ def cmd_fmem_sweep(args) -> int:
             "fmem-sweep needs n_train >= 2: the gap ratio compares the nearest "
             "and second-nearest training points"
         )
+    trains = []
+    for n_train in config.n_train:
+        train = training_points(config.dataset, n_train, config.seed)
+        if not (train != train[0]).any():  # every point repeats the first
+            raise ConfigError(
+                "fmem-sweep needs at least two distinct training points for a "
+                f"gap ratio; the n_train = {n_train} draw has fewer"
+            )
+        trains.append((n_train, train))
     out_dir = Path(config.out_dir)
     rows: list[list] = []
     failure_rows: list[list] = []
@@ -274,10 +270,10 @@ def cmd_fmem_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved_config(config, out_dir)
     for order in config.orders:
-        for n_train in config.n_train:
+        for n_train, train in trains:
             for policy_idx, (policy_name, policy) in enumerate(config.policies()):
-                positions, ok, failures, train = _generate_endpoints(
-                    config, order, n_train, policy, policy_idx
+                positions, ok, failures = _generate_endpoints(
+                    config, order, train, policy, policy_idx
                 )
                 total_runs += config.runs
                 failure_rows.extend(

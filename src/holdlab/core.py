@@ -2,9 +2,11 @@
 
 The forward process couples a data ("position") block to a chain of
 auxiliary blocks through a skew-symmetric tridiagonal coupling with friction
-on the last block only.  Critically damped parameters collapse the spectrum
-of the drift matrix onto a single repeated eigenvalue, so the shifted matrix
-is nilpotent and the matrix exponential is an exact finite polynomial.
+on the last block only.  Order 1 is the Ornstein-Uhlenbeck process with its
+own friction; higher orders are critically damped, which collapses the
+spectrum of the drift matrix onto a single repeated eigenvalue, so the
+shifted matrix is nilpotent and the matrix exponential ``expm_at`` is an
+exact finite polynomial, evaluated over an array of times.
 
 Everything here acts at block scale: an ``n x n`` matrix stands for its
 Kronecker product with the ``h``-dimensional identity and is applied
@@ -75,7 +77,6 @@ class BlockMatrix:
 
     order: int
     entries: np.ndarray
-    block_dim: int = 1
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -99,28 +100,6 @@ class LiftedState:
                 f"data must have length {self.order * self.block_dim}, got {d.shape[0]}"
             )
         object.__setattr__(self, "data", d)
-
-    @classmethod
-    def from_blocks(cls, *blocks: np.ndarray) -> "LiftedState":
-        arrs = [np.asarray(b, dtype=float).reshape(-1) for b in blocks]
-        h = arrs[0].shape[0]
-        if any(a.shape[0] != h for a in arrs):
-            raise ValueError("all blocks must share the same dimension")
-        return cls(len(arrs), h, np.concatenate(arrs))
-
-    @property
-    def position(self) -> np.ndarray:
-        """First h coordinates (the data block)."""
-        return self.data[: self.block_dim]
-
-    @property
-    def last_block(self) -> np.ndarray:
-        """Final h coordinates (the last auxiliary block; the position at n=1)."""
-        return self.data[(self.order - 1) * self.block_dim :]
-
-    def block(self, i: int) -> np.ndarray:
-        h = self.block_dim
-        return self.data[i * h : (i + 1) * h]
 
 
 def kron_apply(mat: np.ndarray, data: np.ndarray, block_dim: int) -> np.ndarray:
@@ -163,7 +142,17 @@ def critically_damped_params(
     )
 
 
-def build_forward_matrix(params: HoldParams, block_dim: int = 1) -> BlockMatrix:
+def _order_params(
+    order: int, xi: float = 1.0, l_inv: float = 1.0, alpha: float = 1.0
+) -> HoldParams:
+    """Order 1 is the OU process with friction xi; higher orders are
+    critically damped, with their own friction."""
+    if order == 1:
+        return HoldParams(order=1, gammas=(), xi=xi, l_inv=l_inv, alpha=alpha)
+    return critically_damped_params(order, l_inv=l_inv, alpha=alpha)
+
+
+def build_forward_matrix(params: HoldParams) -> BlockMatrix:
     """Drift matrix: skew-symmetric tridiagonal coupling, friction at (n, n)."""
     n = params.order
     f = np.zeros((n, n))
@@ -171,7 +160,7 @@ def build_forward_matrix(params: HoldParams, block_dim: int = 1) -> BlockMatrix:
         f[i, i + 1] = g
         f[i + 1, i] = -g
     f[n - 1, n - 1] = -params.xi
-    return BlockMatrix(order=n, entries=f, block_dim=block_dim)
+    return BlockMatrix(order=n, entries=f)
 
 
 def damped_eigenvalue(f: BlockMatrix) -> float:
@@ -215,25 +204,20 @@ def expm_at(params: HoldParams, t) -> np.ndarray:
 
         exp(F t) = exp(s* t) * sum_{k < n} (F - s* I)^k t^k / k!
 
-    ``t`` is a scalar or a (T,) array, giving (n, n) or (T, n, n); each
-    slice is the scalar arithmetic (``math.exp`` per time), bit for bit.
+    ``t`` is a (T,) array, giving (T, n, n), or a scalar, giving the (n, n)
+    slice of the same arithmetic; each time is scaled by its own
+    ``math.exp``, so a slice does not depend on the other times.
 
     Raises ``NotCriticallyDampedError`` when the nilpotency residual
     ||(F - s* I)^n|| exceeds 1e-8 * max(1, ||F||^n).
     """
     s_star, terms = _nilpotent_terms(params)
-    if isinstance(t, float) or np.ndim(t) == 0:  # per-step path: no array set-up
-        acc = terms[0].copy()
-        tk = 1.0
-        for term in terms[1:]:
-            tk *= t
-            acc += term * tk
-        return math.exp(s_star * t) * acc
-    times = np.asarray(t, dtype=float)
+    times = np.atleast_1d(np.asarray(t, dtype=float))
     acc = np.repeat(terms[0][None], len(times), axis=0)
     tk = np.ones_like(times)
     for term in terms[1:]:
         tk = tk * times
         acc += term * tk[:, None, None]
     scale = np.array([math.exp(s_star * x) for x in times.tolist()])
-    return scale[:, None, None] * acc
+    out = scale[:, None, None] * acc
+    return out if np.ndim(t) else out[0]

@@ -8,6 +8,8 @@ and then works on a (T, n, n) stack whose slices equal the single-time
 results bit for bit; ``cholesky_block`` is the single-time view of
 ``cholesky_stack``, and ``schedule`` gathers every stacked piece of an
 array of times.  The small-t noise covariance is a cancellation-free sum.
+Factors that need a floor get one fixed rule, 1e-12 of the largest
+diagonal entry, and report the floor they added.
 """
 
 from __future__ import annotations
@@ -129,17 +131,15 @@ def covariance_at(params: HoldParams, sigma0: BlockCovariance, t) -> BlockCovari
     return BlockCovariance(order=n, small=small, t=t)
 
 
-def cholesky_stack(
-    cov: BlockCovariance, floor: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def cholesky_stack(cov: BlockCovariance) -> tuple[np.ndarray, np.ndarray]:
     """Lower-triangular factors of the covariance blocks, flooring if needed.
 
     Returns ``(L, delta)`` with L L^T = Sigma + delta I per time, where
     delta is 0 when the plain factorization succeeds and otherwise the
-    floor actually added.  The default floor is 1e-12 times the largest
-    diagonal entry, with an absolute fallback of 1e-12 so the all-zero
-    covariance (t = 0, point-mass initialization) still factors.  When the
-    stack fails, its blocks are retried one by one: only those floor.
+    floor actually added.  The floor is 1e-12 times the largest diagonal
+    entry, with an absolute fallback of 1e-12 so the all-zero covariance
+    (t = 0, point-mass initialization) still factors.  When the stack
+    fails, its blocks are retried one by one: only those floor.
     """
     small, n = cov.small, cov.order
     delta = np.zeros(small.shape[:-2])
@@ -147,10 +147,8 @@ def cholesky_stack(
         return np.linalg.cholesky(small), delta
     except np.linalg.LinAlgError:
         pass
-    if floor is None:
-        diag = np.diagonal(small, axis1=-2, axis2=-1)
-        floor = 1e-12 * np.maximum(diag.max(axis=-1), 1.0)
-    floors = np.broadcast_to(floor, small.shape[:-2]).reshape(-1)
+    diag = np.diagonal(small, axis1=-2, axis2=-1)
+    floors = (1e-12 * np.maximum(diag.max(axis=-1), 1.0)).reshape(-1)
     factor = np.empty_like(small)
     # Contiguous reshapes are views: the loop fills factor and delta.
     factors, deltas = factor.reshape(-1, n, n), delta.reshape(-1)
@@ -170,13 +168,11 @@ def cholesky_stack(
     return factor, delta
 
 
-def cholesky_block(
-    cov: BlockCovariance, floor: float | None = None
-) -> tuple[np.ndarray, float]:
+def cholesky_block(cov: BlockCovariance) -> tuple[np.ndarray, float]:
     """``cholesky_stack`` for a single time: ``(L, delta)`` with a float delta."""
     if cov.small.ndim != 2:
         raise ValueError("cholesky_block factors one time; use cholesky_stack")
-    factor, delta = cholesky_stack(cov, floor)
+    factor, delta = cholesky_stack(cov)
     return factor, float(delta)
 
 
@@ -253,24 +249,21 @@ def lift_data(
     x0: np.ndarray,
     params: HoldParams,
     policy: AuxPolicy,
-    rng_seed: int | None = None,
     index: int = 0,
 ) -> LiftedState:
     """Lift a data point into R^{n*h} according to the auxiliary policy.
 
     Marginalized sets the auxiliaries to their mean 0 (their variance lives
     in the initial covariance).  FixedPerSample draws them once from
-    N(0, alpha * l_inv I) with a stream derived from (seed, index), so the
-    same sample always receives the same auxiliaries; ``rng_seed`` defaults
-    to the policy's own seed.
+    N(0, alpha * l_inv I) with the stream (policy seed, index), so the
+    same sample always receives the same auxiliaries.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     n, h = params.order, x0.shape[0]
     data = np.zeros(n * h)
     data[:h] = x0
     if isinstance(policy, FixedPerSample) and n > 1:
-        seed = policy.seed if rng_seed is None else rng_seed
-        rng = np.random.default_rng([seed, index])
+        rng = np.random.default_rng([policy.seed, index])
         scale = math.sqrt(params.alpha * params.l_inv)
         data[h:] = scale * rng.standard_normal((n - 1) * h)
     return LiftedState(n, h, data)

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    HoldParams,
-    build_forward_matrix,
-    critically_damped_params,
-    damped_eigenvalue,
-)
+from .core import _order_params, build_forward_matrix, damped_eigenvalue
 from .forward import BlockCovariance, cholesky_stack, covariance_at
 
 
@@ -104,7 +99,7 @@ def det_ratio(n: int, t, xi: float | None = None):
         raise ValueError("order must be >= 1")
     if xi is not None and xi <= 0:
         raise ValueError(f"friction xi must be positive, got {xi}")
-    params = critically_damped_params(n) if n > 1 else HoldParams(1, (), xi or 1.0, 1.0)
+    params = _order_params(n, xi or 1.0)
     zero = BlockCovariance(n, np.zeros((n, n)), 0.0)
     factor, delta = cholesky_stack(covariance_at(params, zero, t))
     log_den = 2.0 * np.log(np.diagonal(factor, axis1=-2, axis2=-1)).sum(axis=-1)

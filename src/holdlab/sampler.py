@@ -1,14 +1,13 @@
-"""Reverse-time generation: probability-flow ODE and the first-order SDE.
+"""Reverse-time generation by the probability-flow ODE.
 
-Integration runs a batch of independent runs backward from the stationary
-prior at t_start down to a small positive t_end.  One batched core,
-``_integrate``, steps every route: the deterministic probability-flow ODE
-(Heun or Euler) for every order, in ``pf_ode_endpoints``, and Euler-Maruyama
-on the first-order reverse SDE, in ``ou_sde_endpoints``.  Both take
-``HoldParams``; the first-order process is ``HoldParams(order=1, gammas=(),
-xi=..., l_inv=...)``, the n = 1 case of the same drift.  Run i draws from
-its own stream (rng_seed, i), so results do not depend on batching.  A run
-that diverges is frozen at its last good state and reported, never raised.
+``pf_ode_endpoints`` integrates a batch of independent runs backward from
+the stationary prior at t_start down to a small positive t_end, with Heun
+or Euler steps of the batched core ``_integrate``.  Every order takes the
+same route; the first-order process is ``HoldParams(order=1, gammas=(),
+xi=..., l_inv=...)``, the n = 1 case of the same drift.  Run i draws its
+start from its own stream (rng_seed, i), so results do not depend on
+batching.  A run that diverges is frozen at its last good state and
+reported, never raised.
 """
 
 from __future__ import annotations
@@ -60,31 +59,16 @@ def sample_prior(params: HoldParams, h: int, rng_seed) -> LiftedState:
     return LiftedState(n, h, data)
 
 
-
-
-def _check_method(method: str) -> None:
-    if method not in ("heun", "euler"):
-        raise ValueError(f"unknown integrator {method!r}")
-
-
-def _run_seeds(rng_seed, runs: int) -> list[list]:
-    """Per-run streams: run i is seeded (rng_seed..., i)."""
-    chain = list(rng_seed) if isinstance(rng_seed, (list, tuple)) else [rng_seed]
-    return [chain + [i] for i in range(runs)]
-
-
-def _integrate(drift, times: np.ndarray, state: np.ndarray, method: str, noise=None):
+def _integrate(drift, times: np.ndarray, state: np.ndarray, method: str):
     """Backward-time integration of a (runs, d) batch over a descending grid.
 
-    ``drift(u, t)`` returns du/dt for the whole batch.  With ``noise``, an
-    array (runs, steps, d), step k adds ``noise[:, k]`` after its drift
-    update (Euler-Maruyama).  A run whose state goes non-finite or exceeds
+    ``drift(u, t)`` returns du/dt for the whole batch; ``method`` is
+    "euler" or "heun".  A run whose state goes non-finite or exceeds
     DIVERGENCE_GUARD is held at its last good state from then on and
     reported once as (run index, step index).
 
     Returns (states (runs, d), ok mask (runs,), failures).
     """
-    _check_method(method)
     ok = np.ones(len(state), dtype=bool)
     failures: list[tuple[int, int]] = []
     for k in range(len(times) - 1):
@@ -96,8 +80,6 @@ def _integrate(drift, times: np.ndarray, state: np.ndarray, method: str, noise=N
         else:
             pred = state + dt * f0
             nxt = state + 0.5 * dt * (f0 + drift(pred, t1))
-        if noise is not None:
-            nxt = nxt + noise[:, k]
         # NaN fails the comparison, so it counts as diverged.
         bad = ~(np.abs(nxt) <= DIVERGENCE_GUARD).all(axis=1)
         failures.extend((int(i), k) for i in np.flatnonzero(bad & ok))
@@ -127,7 +109,8 @@ def pf_ode_endpoints(
 
     Returns (positions (runs, h), ok mask (runs,), failures).
     """
-    _check_method(method)  # before any prior draw
+    if method not in ("heun", "euler"):  # before any prior draw
+        raise ValueError(f"unknown integrator {method!r}")
     fmat = build_forward_matrix(params).entries
     gain = params.xi * params.l_inv
 
@@ -136,47 +119,7 @@ def pf_ode_endpoints(
         out[..., -h:] -= gain * np.asarray(score_fn(u, t), dtype=float)
         return out
 
-    start = np.stack(
-        [sample_prior(params, h, seed).data for seed in _run_seeds(rng_seed, runs)]
-    )
+    chain = list(rng_seed) if isinstance(rng_seed, (list, tuple)) else [rng_seed]
+    start = np.stack([sample_prior(params, h, chain + [i]).data for i in range(runs)])
     state, ok, failures = _integrate(drift, grid.times(), start, method)
     return state[:, :h], ok, failures
-
-
-def ou_sde_endpoints(
-    params: HoldParams,
-    score_fn,
-    grid: TimeGrid,
-    rng_seed,
-    h: int,
-    runs: int,
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-    """Euler-Maruyama endpoints of the first-order reverse SDE.
-
-    ``params`` must be order 1 (``ValueError`` otherwise, before any draw).
-    Stepping t -> t - dt applies drift xi (x + 2 l_inv s(x, t)) dt plus
-    noise sqrt(2 xi l_inv dt) z.  Run i draws its start x_T ~ N(0, l_inv I_h)
-    and then its (steps, h) noise from stream (rng_seed, i).  Failures are
-    frozen and reported as in ``pf_ode_endpoints``.
-
-    Returns (positions (runs, h), ok mask (runs,), failures).
-    """
-    if params.order != 1:
-        raise ValueError(
-            f"the reverse SDE sampler is first-order only, got order {params.order}"
-        )
-    xi, l_inv = params.xi, params.l_inv
-    start = np.empty((runs, h))
-    z = np.empty((runs, grid.steps, h))
-    for i, seed in enumerate(_run_seeds(rng_seed, runs)):
-        rng = np.random.default_rng(seed)
-        start[i] = math.sqrt(l_inv) * rng.standard_normal(h)
-        z[i] = rng.standard_normal((grid.steps, h))
-    times = grid.times()
-    scales = math.sqrt(2.0 * xi * l_inv) * np.sqrt(-np.diff(times))
-
-    def drift(x, t):
-        s = np.asarray(score_fn(x, t), dtype=float)
-        return -(xi * (x + 2.0 * l_inv * s))
-
-    return _integrate(drift, times, start, "euler", noise=scales[:, None] * z)

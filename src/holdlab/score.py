@@ -273,11 +273,10 @@ def mc_loss(
     policy: AuxPolicy,
     n_mc: int,
     rng_seed,
-    t_min: float = T_EPS,
 ) -> float:
     """Monte Carlo estimate of the denoising loss E||eps_n + s(u_t, t) w_t||^2.
 
-    Each sample draws t ~ U(t_min, 1), a training point, and a full noise
+    Each sample draws t ~ U(T_EPS, 1), a training point, and a full noise
     vector; w_t is the bottom-right entry of the block Cholesky factor.
     Deterministic given ``rng_seed`` (one stream, fixed consumption order),
     so different score functions compare on matched noise.  ``score_fn``
@@ -292,7 +291,7 @@ def mc_loss(
     times, picks = np.empty(n_mc), np.empty(n_mc, dtype=int)
     noise = np.empty((n_mc, n * h))
     for i in range(n_mc):
-        times[i] = rng.uniform(t_min, 1.0)
+        times[i] = rng.uniform(T_EPS, 1.0)
         picks[i] = rng.integers(dataset.n_train)
         noise[i] = rng.standard_normal(n * h)
     total = 0.0

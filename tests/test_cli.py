@@ -15,6 +15,7 @@ from holdlab import (
     convolution_reconstruct,
     critically_damped_params,
     forced_ode_positions,
+    training_points,
 )
 from holdlab import forward
 from holdlab import score as score_module
@@ -507,8 +508,9 @@ def test_one_stacked_factorization_per_order(monkeypatch):
     monkeypatch.setattr(score_module, "mixture_at", None)  # never reached
     forward._schedule.cache_clear()
     config = load_config(None, {"grid.steps": 250, "runs": 4})
+    train = training_points(config.dataset, 8, config.seed)
     for order in config.orders:
-        _generate_endpoints(config, order, 8, config.policies()[0][1], 0)
+        _generate_endpoints(config, order, train, config.policies()[0][1], 0)
     assert stacks == [(251, n, n) for n in config.orders]
     assert blocks == []
 
@@ -530,6 +532,8 @@ def test_repeated_training_point_exits_2(tmp_path, capsys):
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
     assert "distinct training points" in capsys.readouterr().err
     assert not (tmp_path / "out" / "sweep.csv").exists()
+    # Rejected before any work: not even the output directory is made.
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "fmem-sweep"])

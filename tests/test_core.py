@@ -1,5 +1,6 @@
 """Linear-dynamics unit tests: parameters, drift matrix, matrix exponential."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 
 import holdlab
-from holdlab import core, filters, metrics, sampler, score
+from holdlab import core, filters, forward, metrics, sampler, score
 from holdlab import (
+    MAX_ORDER,
     BlockMatrix,
     HoldParams,
     InvalidOrderError,
@@ -37,6 +39,18 @@ def expm_oracle(a: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         acc = acc @ acc
     return acc
+
+
+def scalar_expm(params: HoldParams, t: float) -> np.ndarray:
+    """exp(s* t) sum_k N^k t^k / k! for one time, with the multiplies and
+    adds in the order ``expm_at`` does them for each slice."""
+    s_star, terms = core._nilpotent_terms(params)
+    acc = terms[0].copy()
+    tk = 1.0
+    for term in terms[1:]:
+        tk *= t
+        acc += term * tk
+    return math.exp(s_star * t) * acc
 
 
 def char_poly(f, s: complex) -> complex:
@@ -204,15 +218,20 @@ class TestMatrixExponential:
         bound = 1e-10 * max(1.0, np.linalg.norm(f.entries) ** n)
         assert np.linalg.norm(power) <= bound
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
     def test_vector_times_equal_scalar_calls(self, n):
         # Same products in the same order per slice, math.exp per time:
-        # every slice equals the scalar call to 0 ulp.
+        # every slice equals the scalar call, an (n, n) array, and the
+        # one-time loop to 0 ulp.
         p = HoldParams(1, (), 1.5, 1.0) if n == 1 else critically_damped_params(n)
         times = np.geomspace(1e-3, 10.0, 41)
         stack = expm_at(p, times)
         assert stack.shape == (41, n, n)
-        assert np.array_equal(stack, np.stack([expm_at(p, float(t)) for t in times]))
+        scalars = [expm_at(p, float(t)) for t in times]
+        assert all(e.shape == (n, n) for e in scalars)
+        assert np.array_equal(stack, np.stack(scalars))
+        loop = [scalar_expm(p, float(t)) for t in times]
+        assert np.array_equal(stack, np.stack(loop))
 
     def test_rejects_non_critical(self):
         p = critically_damped_params(2)
@@ -252,11 +271,12 @@ class TestStateAndKron:
             LiftedState(2, 2, np.zeros(3))
 
     def test_blocks(self):
-        u = LiftedState.from_blocks([1.0, 2.0], [3.0, 4.0], [5.0, 6.0])
+        # Block i is data[i*h : (i+1)*h]; the position block comes first.
+        u = LiftedState(3, 2, np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         assert u.order == 3 and u.block_dim == 2
-        assert u.position.tolist() == [1.0, 2.0]
-        assert u.last_block.tolist() == [5.0, 6.0]
-        assert u.block(1).tolist() == [3.0, 4.0]
+        assert u.data[:2].tolist() == [1.0, 2.0]
+        assert u.data[2:4].tolist() == [3.0, 4.0]
+        assert u.data[-2:].tolist() == [5.0, 6.0]
 
     def test_kron_apply_matches_dense(self):
         rng = np.random.default_rng(11)
@@ -283,7 +303,7 @@ class TestStateAndKron:
 
     def test_blockmatrix_matvec(self):
         f = build_forward_matrix(critically_damped_params(2))
-        u = LiftedState.from_blocks([1.0, 0.0], [0.0, 2.0])
+        u = LiftedState(2, 2, np.array([1.0, 0.0, 0.0, 2.0]))
         out = kron_apply(f.entries, u.data, u.block_dim)
         dense = np.kron(f.entries, np.eye(2)) @ u.data
         assert np.allclose(out, dense, atol=1e-14, rtol=0)
@@ -295,7 +315,8 @@ class TestStateAndKron:
 
 class TestPublicApi:
     # Names deleted from the package: the order-1 filter, score and sampler
-    # copies, the second matrix-exponential route, and the single-run samplers.
+    # copies, the second matrix-exponential route, the single-run samplers
+    # and the first-order reverse SDE.
     REMOVED = (
         "OuFilter",
         "FilterSpec",
@@ -309,6 +330,7 @@ class TestPublicApi:
         "DivergenceError",
         "loss_weight",
         "mahalanobis_sq",
+        "ou_sde_endpoints",
     )
 
     def test_all_is_unique_and_resolves(self):
@@ -323,3 +345,17 @@ class TestPublicApi:
             assert name not in holdlab.__all__
             assert not any(hasattr(m, name) for m in modules), name
         assert not hasattr(BlockMatrix, "matvec")
+        assert not hasattr(BlockMatrix(1, np.zeros((1, 1))), "block_dim")
+        for helper in ("from_blocks", "position", "last_block", "block"):
+            assert not hasattr(LiftedState, helper), helper
+
+    def test_single_value_parameters_are_gone(self):
+        # Each of these had one value at every caller; it is now fixed.
+        for fn, name in (
+            (build_forward_matrix, "block_dim"),
+            (forward.cholesky_stack, "floor"),
+            (forward.cholesky_block, "floor"),
+            (forward.lift_data, "rng_seed"),
+            (score.mc_loss, "t_min"),
+        ):
+            assert name not in inspect.signature(fn).parameters, (fn.__name__, name)

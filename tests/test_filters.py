@@ -169,7 +169,7 @@ class TestFrequencyMagnitude:
 class TestNaturalResponse:
     def test_initial_value(self):
         params = critically_damped_params(3)
-        u0 = LiftedState.from_blocks([1.0, -2.0], [0.1, 0.2], [0.0, 0.3])
+        u0 = LiftedState(3, 2, [1.0, -2.0, 0.1, 0.2, 0.0, 0.3])
         assert np.allclose(
             natural_response(params, u0, 0.0), [1.0, -2.0], atol=1e-14, rtol=0
         )

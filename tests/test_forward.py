@@ -141,13 +141,10 @@ class TestCholeskyBlock:
         assert np.array_equal(factor, np.eye(3))
 
     def test_zero_matrix_needs_floor(self):
+        # The floor rule's absolute fallback: 1e-12 when the diagonal is 0.
         factor, shift = cholesky_block(zero_cov(2))
-        assert shift > 0.0
+        assert shift == 1e-12
         assert np.allclose(factor @ factor.T, shift * np.eye(2), atol=1e-15, rtol=0)
-
-    def test_explicit_floor_reported(self):
-        factor, shift = cholesky_block(zero_cov(2), floor=1e-6)
-        assert shift == 1e-6
 
     def test_random_psd_reconstructs(self):
         rng = np.random.default_rng(9)
@@ -298,7 +295,7 @@ class TestSchedule:
 class TestSampleForward:
     def test_t_zero_point_mass_exact(self):
         p = critically_damped_params(2)
-        u0 = LiftedState.from_blocks([1.0, -2.0], [0.5, 0.25])
+        u0 = LiftedState(2, 2, [1.0, -2.0, 0.5, 0.25])
         out = sample_forward(u0, p, zero_cov(2), 0.0, rng_seed=4)
         assert np.array_equal(out.data, u0.data)
 
@@ -332,7 +329,7 @@ class TestSampleForward:
         # One (T, n*h) noise block from the seed; zero-covariance rows are
         # the mean; every other row is mean + (L_t x I_h) eps_row.
         p = critically_damped_params(2)
-        u0 = LiftedState.from_blocks([1.0, -2.0], [0.5, 0.25])
+        u0 = LiftedState(2, 2, [1.0, -2.0, 0.5, 0.25])
         times = np.array([0.0, 0.3, 1.2])
         got = sample_forward(u0, p, zero_cov(2), times, rng_seed=9)
         assert got.shape == (3, 4)
@@ -353,7 +350,7 @@ class TestSampleForward:
         s0 = initial_covariance(p, Marginalized())
         t = 0.8
         h = 2
-        u0 = LiftedState.from_blocks([0.3, -1.1], [0.0, 0.0])
+        u0 = LiftedState(2, 2, [0.3, -1.1, 0.0, 0.0])
         got = sample_forward(u0, p, s0, t, rng_seed=777)
 
         e = expm_at(p, t)

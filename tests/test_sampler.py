@@ -15,7 +15,6 @@ from holdlab import (
     empirical_score_fn,
     initial_covariance,
     kron_apply,
-    ou_sde_endpoints,
     pf_ode_endpoints,
     sample_prior,
 )
@@ -83,31 +82,6 @@ def ou_score(x, dataset: Dataset, xi: float, l_inv: float, t: float) -> np.ndarr
     w /= w.sum(axis=1, keepdims=True)
     out = -(batch - decay * (w @ dataset.points)) / var
     return out[0] if single else out
-
-
-def ou_params(xi, l_inv):
-    return HoldParams(order=1, gammas=(), xi=xi, l_inv=l_inv)
-
-
-def euler_maruyama_single_run(xi, l_inv, score_fn, grid, rng_seed, h):
-    """Reference: one first-order reverse-SDE run, drawing its start and
-    then one noise vector per step from its own stream."""
-    rng = np.random.default_rng(rng_seed)
-    x = math.sqrt(l_inv) * rng.standard_normal(h)
-    times = grid.times()
-    noise_scale = math.sqrt(2.0 * xi * l_inv)
-    for k in range(len(times) - 1):
-        t0, t1 = float(times[k]), float(times[k + 1])
-        step = t0 - t1
-        s = np.asarray(score_fn(x, t0), dtype=float).reshape(-1)
-        x = x + xi * (x + 2.0 * l_inv * s) * step
-        x = x + noise_scale * math.sqrt(step) * rng.standard_normal(h)
-    return x
-
-
-def two_point_score(xi, l_inv):
-    ds = Dataset(np.array([[1.0], [-1.0]]))
-    return lambda x, t: ou_score(np.asarray(x), ds, xi, l_inv, t)
 
 
 class TestTimeGrid:
@@ -217,81 +191,21 @@ class TestOuSamplers:
         want = math.exp(-xi * (grid.t_end - grid.t_start)) * x_start
         assert np.abs(ends[0] - want).max() <= 1e-4 * np.abs(want).max()
 
-    def test_sde_stationary_under_prior_score(self):
-        xi, l_inv = 2.0, 1.0
-        grid = TimeGrid(steps=400)
-        prior_score = lambda x, t: -np.asarray(x) / l_inv
-        ends, ok, _ = ou_sde_endpoints(
-            ou_params(xi, l_inv), prior_score, grid, rng_seed=7, h=1, runs=4096
-        )
-        assert ok.all()
-        assert abs(ends[:, 0].var() - l_inv) <= 0.05 * l_inv
-
-    def test_sde_two_point_clusters(self):
-        xi, l_inv = 2.0, 1.0
-        batch, ok, _ = ou_sde_endpoints(
-            ou_params(xi, l_inv), two_point_score(xi, l_inv), TimeGrid(), rng_seed=13,
-            h=1, runs=2048,
-        )
-        assert ok.all()
-        ends = batch[:, 0]
-        pos = ends[ends > 0]
-        neg = ends[ends < 0]
-        assert len(pos) > 100 and len(neg) > 100
-        assert abs(pos.mean() - 1.0) <= 0.05
-        assert abs(neg.mean() + 1.0) <= 0.05
-
-    @pytest.mark.parametrize(
-        "seed, steps, fn",
-        [(7, 400, lambda x, t: -np.asarray(x)), (13, 1000, two_point_score(2.0, 1.0))],
-        ids=["prior_score", "two_point"],
-    )
-    def test_sde_matches_single_runs(self, seed, steps, fn):
-        # Same streams and arithmetic as the single-run loop, so bit for bit.
-        grid = TimeGrid(steps=steps)
-        batch, ok, failures = ou_sde_endpoints(
-            ou_params(2.0, 1.0), fn, grid, rng_seed=seed, h=1, runs=16
-        )
-        assert ok.all() and not failures
-        for i in range(16):
-            single = euler_maruyama_single_run(2.0, 1.0, fn, grid, [seed, i], h=1)
-            assert np.array_equal(batch[i], single)
-
-    def test_sde_determinism(self):
-        fn = zero_score(1)
-        params = ou_params(1.0, 1.0)
-        a = ou_sde_endpoints(params, fn, TimeGrid(steps=30), 5, h=1, runs=1)
-        b = ou_sde_endpoints(params, fn, TimeGrid(steps=30), 5, h=1, runs=1)
-        assert np.array_equal(a[0], b[0])
-
     def test_singleton_error_decreases_with_steps(self):
         ds = Dataset(np.array([[1.0]]))
+        params = HoldParams(order=1, gammas=(), xi=2.0, l_inv=1.0)
 
         def fn(x, t):
             return ou_score(np.asarray(x), ds, 2.0, 1.0, t)
 
         errs = []
         for steps in (1, 1000):
-            ends, ok, _ = ou_sde_endpoints(
-                ou_params(2.0, 1.0), fn, TimeGrid(steps=steps), rng_seed=2, h=1, runs=1
+            ends, ok, _ = pf_ode_endpoints(
+                params, fn, TimeGrid(steps=steps), rng_seed=2, h=1, runs=1
             )
             assert ok.all()
             errs.append(abs(ends[0, 0] - 1.0))
         assert errs[1] < errs[0]
-
-    def test_sde_rejects_higher_order(self):
-        calls = []
-
-        def fn(x, t):
-            calls.append(t)
-            return np.zeros(np.shape(x))
-
-        with pytest.raises(ValueError, match="order 2"):
-            ou_sde_endpoints(
-                critically_damped_params(2), fn, TimeGrid(steps=10), rng_seed=1,
-                h=1, runs=2,
-            )
-        assert not calls
 
 
 class TestBatchEndpoints:
