@@ -11,6 +11,7 @@ would corrupt every cell downstream.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -66,8 +67,9 @@ class ExperimentConfig:
             raise ConfigError("runs must be >= 1")
         if not (0.0 < self.tau < 1.0):
             raise ConfigError("tau must lie in (0, 1)")
-        if self.l_inv <= 0 or self.alpha <= 0 or self.ou_xi <= 0:
-            raise ConfigError("l_inv, alpha, and ou_xi must be positive")
+        for name in ("l_inv", "alpha", "ou_xi"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be positive and finite")
         if not self.orders or any(not 1 <= o <= MAX_ORDER for o in self.orders):
             raise ConfigError(
                 f"orders must be a nonempty list of integers in [1, {MAX_ORDER}]"

@@ -55,14 +55,15 @@ class HoldParams:
             raise ValueError(
                 f"expected {self.order - 1} coupling constants, got {len(self.gammas)}"
             )
-        if any(g <= 0 for g in self.gammas):
-            raise ValueError("coupling constants must be positive")
-        if self.xi <= 0:
-            raise ValueError("friction xi must be positive")
-        if self.l_inv <= 0:
-            raise ValueError("noise scale l_inv must be positive")
-        if self.alpha <= 0:
-            raise ValueError("auxiliary variance scale alpha must be positive")
+        # Written so that NaN fails: every comparison with it is False.
+        if not all(0 < g < math.inf for g in self.gammas):
+            raise ValueError("coupling constants must be positive and finite")
+        if not 0 < self.xi < math.inf:
+            raise ValueError("friction xi must be positive and finite")
+        if not 0 < self.l_inv < math.inf:
+            raise ValueError("noise scale l_inv must be positive and finite")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("auxiliary scale alpha must be positive and finite")
 
     @property
     def gamma_bar(self) -> float:

@@ -121,7 +121,10 @@ def _load_csv(path: str) -> np.ndarray:
         rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"{path} contains no data rows")
-    return np.asarray(rows, dtype=float)
+    arr = np.asarray(rows, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path} contains a non-finite value")
+    return arr
 
 
 def training_points(spec: DatasetSpec, n_train: int, seed: int) -> np.ndarray:

@@ -9,7 +9,8 @@ results bit for bit; ``cholesky_block`` is the single-time view of
 ``cholesky_stack``, and ``schedule`` gathers every stacked piece of an
 array of times.  The small-t noise covariance is a cancellation-free sum.
 Factors that need a floor get one fixed rule, 1e-12 of the largest
-diagonal entry, and report the floor they added.
+diagonal entry, and report the floor they added.  Lifted points and forward
+draws are plain (n*h,) arrays; a (T,) array of times gives (T, n*h) rows.
 """
 
 from __future__ import annotations
@@ -226,12 +227,13 @@ def sample_forward(
     sigma0: BlockCovariance,
     t,
     rng_seed,
-) -> LiftedState | np.ndarray:
+) -> np.ndarray:
     """Draw u_t = exp(Ft) u_0 + (L_t x I_h) eps with eps ~ N(0, I_{nh}).
 
     Deterministic for a fixed ``rng_seed``; a covariance that is exactly
-    zero yields the mean.  A (T,) array of times returns a (T, n*h) array
-    whose noise is one (T, n*h) standard normal draw.
+    zero yields the mean.  A float t returns an (n*h,) array; a (T,) array
+    of times returns a (T, n*h) array whose noise is one (T, n*h) standard
+    normal draw.
     """
     n, h = params.order, u0.block_dim
     if u0.order != n:
@@ -241,8 +243,7 @@ def sample_forward(
     factor, _ = cholesky_stack(cov)
     eps = np.random.default_rng(rng_seed).standard_normal(mean.shape)
     zero = ~cov.small.any(axis=(-2, -1))
-    out = np.where(zero[..., None], mean, mean + kron_apply(factor, eps, h))
-    return out if np.ndim(t) else LiftedState(n, h, out)
+    return np.where(zero[..., None], mean, mean + kron_apply(factor, eps, h))
 
 
 def lift_data(
@@ -250,8 +251,8 @@ def lift_data(
     params: HoldParams,
     policy: AuxPolicy,
     index: int = 0,
-) -> LiftedState:
-    """Lift a data point into R^{n*h} according to the auxiliary policy.
+) -> np.ndarray:
+    """Lift a data point into an (n*h,) array by the auxiliary policy.
 
     Marginalized sets the auxiliaries to their mean 0 (their variance lives
     in the initial covariance).  FixedPerSample draws them once from
@@ -266,4 +267,4 @@ def lift_data(
         rng = np.random.default_rng([policy.seed, index])
         scale = math.sqrt(params.alpha * params.l_inv)
         data[h:] = scale * rng.standard_normal((n - 1) * h)
-    return LiftedState(n, h, data)
+    return data

@@ -2,12 +2,12 @@
 
 ``pf_ode_endpoints`` integrates a batch of independent runs backward from
 the stationary prior at t_start down to a small positive t_end, with Heun
-or Euler steps of the batched core ``_integrate``.  Every order takes the
-same route; the first-order process is ``HoldParams(order=1, gammas=(),
-xi=..., l_inv=...)``, the n = 1 case of the same drift.  Run i draws its
-start from its own stream (rng_seed, i), so results do not depend on
-batching.  A run that diverges is frozen at its last good state and
-reported, never raised.
+steps of the batched core ``_integrate`` over plain (runs, n*h) arrays.
+Every order takes the same route; the first-order process is
+``HoldParams(order=1, gammas=(), xi=..., l_inv=...)``, the n = 1 case of
+the same drift.  Run i draws its start from its own stream (rng_seed, i),
+so results do not depend on batching.  A run that diverges is frozen at
+its last good state and reported, never raised.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HoldParams, LiftedState, T_EPS, build_forward_matrix, kron_apply
+from .core import HoldParams, T_EPS, build_forward_matrix, kron_apply
 
 DIVERGENCE_GUARD = 1e6
 
@@ -37,8 +37,9 @@ class TimeGrid:
     spacing: str = "uniform"
 
     def __post_init__(self):
-        if not (self.t_start > self.t_end > 0):
-            raise ValueError("need t_start > t_end > 0")
+        # Written so that NaN fails: every comparison with it is False.
+        if not (math.inf > self.t_start > self.t_end > 0):
+            raise ValueError("need a finite t_start > t_end > 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.spacing not in ("uniform", "quadratic"):
@@ -51,21 +52,19 @@ class TimeGrid:
         return self.t_end + (self.t_start - self.t_end) * tau**2
 
 
-def sample_prior(params: HoldParams, h: int, rng_seed) -> LiftedState:
-    """Stationary prior draw u_T ~ N(0, l_inv I_{nh})."""
-    n = params.order
+def sample_prior(params: HoldParams, h: int, rng_seed) -> np.ndarray:
+    """Stationary prior draw u_T ~ N(0, l_inv I_{nh}), an (n*h,) array."""
     rng = np.random.default_rng(rng_seed)
-    data = math.sqrt(params.l_inv) * rng.standard_normal(n * h)
-    return LiftedState(n, h, data)
+    return math.sqrt(params.l_inv) * rng.standard_normal(params.order * h)
 
 
-def _integrate(drift, times: np.ndarray, state: np.ndarray, method: str):
-    """Backward-time integration of a (runs, d) batch over a descending grid.
+def _integrate(drift, times: np.ndarray, state: np.ndarray):
+    """Backward-time Heun integration of a (runs, d) batch over a descending
+    grid.
 
-    ``drift(u, t)`` returns du/dt for the whole batch; ``method`` is
-    "euler" or "heun".  A run whose state goes non-finite or exceeds
-    DIVERGENCE_GUARD is held at its last good state from then on and
-    reported once as (run index, step index).
+    ``drift(u, t)`` returns du/dt for the whole batch.  A run whose state
+    goes non-finite or exceeds DIVERGENCE_GUARD is held at its last good
+    state from then on and reported once as (run index, step index).
 
     Returns (states (runs, d), ok mask (runs,), failures).
     """
@@ -75,11 +74,8 @@ def _integrate(drift, times: np.ndarray, state: np.ndarray, method: str):
         t0, t1 = float(times[k]), float(times[k + 1])
         dt = t1 - t0
         f0 = drift(state, t0)
-        if method == "euler":
-            nxt = state + dt * f0
-        else:
-            pred = state + dt * f0
-            nxt = state + 0.5 * dt * (f0 + drift(pred, t1))
+        pred = state + dt * f0
+        nxt = state + 0.5 * dt * (f0 + drift(pred, t1))
         # NaN fails the comparison, so it counts as diverged.
         bad = ~(np.abs(nxt) <= DIVERGENCE_GUARD).all(axis=1)
         failures.extend((int(i), k) for i in np.flatnonzero(bad & ok))
@@ -95,7 +91,6 @@ def pf_ode_endpoints(
     rng_seed,
     h: int,
     runs: int,
-    method: str = "heun",
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
     """Endpoint positions of a batch of probability-flow runs.
 
@@ -109,8 +104,6 @@ def pf_ode_endpoints(
 
     Returns (positions (runs, h), ok mask (runs,), failures).
     """
-    if method not in ("heun", "euler"):  # before any prior draw
-        raise ValueError(f"unknown integrator {method!r}")
     fmat = build_forward_matrix(params).entries
     gain = params.xi * params.l_inv
 
@@ -120,6 +113,6 @@ def pf_ode_endpoints(
         return out
 
     chain = list(rng_seed) if isinstance(rng_seed, (list, tuple)) else [rng_seed]
-    start = np.stack([sample_prior(params, h, chain + [i]).data for i in range(runs)])
-    state, ok, failures = _integrate(drift, grid.times(), start, method)
+    start = np.stack([sample_prior(params, h, chain + [i]) for i in range(runs)])
+    state, ok, failures = _integrate(drift, grid.times(), start)
     return state[:, :h], ok, failures

@@ -27,7 +27,8 @@ kernel broadcasts over it.  The n x n pieces of a mixture come from a
 ``forward.schedule``; ``empirical_score_fn`` takes the schedule of a whole
 time grid, so a sampler factors its grid once.  Score callbacks are
 ``score_fn(u, t)`` -> (B, h) last-block scores for u of shape (B, n*h),
-with t a float (the samplers) or a (B,) array (``mc_loss``).
+with t a float (the samplers) or a (B,) array (``mc_loss``); a single
+(n*h,) point gives (h,).  Points are plain arrays throughout.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HoldParams, LiftedState, T_EPS, kron_apply
+from .core import HoldParams, T_EPS, kron_apply
 from .forward import AuxPolicy, BlockCovariance, Schedule, lift_data, schedule
 
 # Samples per batched step of mc_loss: bounds the (B, N, n*h) whitened
@@ -72,28 +73,23 @@ class Dataset:
         key = (params, policy)
         cached = self._lift_cache.get(key)
         if cached is None:
-            cached = np.stack(
-                [
-                    lift_data(x, params, policy, index=k).data
-                    for k, x in enumerate(self.points)
-                ]
-            )
+            lifts = [lift_data(x, params, policy, k) for k, x in enumerate(self.points)]
+            cached = np.stack(lifts)
             self._lift_cache[key] = cached
         return cached
 
 
 @dataclass(frozen=True)
 class EmpiricalMixture:
-    """Equal-weight Gaussian mixture: N centers sharing one block covariance.
-    Built at (B,) times, all fields from ``centers`` on carry a leading B axis."""
+    """Equal-weight Gaussian mixture: N centers sharing one block covariance,
+    held as its factor ``chol`` (``chol @ chol^T`` = Sigma_t + delta I of the
+    schedule) and ``chol_inv``.  Built at (B,) times, all fields from
+    ``centers`` on carry a leading B axis."""
 
     order: int
     block_dim: int
     centers: np.ndarray
-    cov: BlockCovariance
-    t: float | np.ndarray
     chol: np.ndarray
-    chol_shift: float | np.ndarray
     chol_inv: np.ndarray
     white_centers: np.ndarray
 
@@ -122,31 +118,24 @@ def _mixture(
     stack for a slice."""
     if dataset.n_train == 0:
         raise ValueError("dataset is empty")
-    h = dataset.h
-    t, inv, shift = sched.times[k], sched.chol_inv[k], sched.delta[k]
-    if np.ndim(t) == 0:
-        t, shift = float(t), float(shift)
+    h, inv = dataset.h, sched.chol_inv[k]
     lifted = dataset.lifted(params, policy)
     centers = kron_apply(sched.expm[k][..., None, :, :], lifted, h)
     return EmpiricalMixture(
         order=params.order,
         block_dim=h,
         centers=centers,
-        cov=BlockCovariance(params.order, sched.cov.small[k], t),
-        t=t,
         chol=sched.chol[k],
-        chol_shift=shift,
         chol_inv=inv,
         white_centers=kron_apply(inv[..., None, :, :], centers, h),
     )
 
 
 def _as_batch(mix: EmpiricalMixture, u) -> tuple[np.ndarray, bool]:
-    if isinstance(u, LiftedState):
-        if u.order != mix.order or u.block_dim != mix.block_dim:
-            raise ValueError("state shape does not match mixture")
-        return u.data[None, :], True
+    """A (B, n*h) batch, or one (n*h,) point as a batch of one."""
     arr = np.asarray(u, dtype=float)
+    if arr.shape[-1:] != (mix.order * mix.block_dim,):
+        raise ValueError("state shape does not match mixture")
     if arr.ndim == 1:
         return arr[None, :], True
     return arr, False

@@ -17,7 +17,7 @@ from holdlab import (
     forced_ode_positions,
     training_points,
 )
-from holdlab import forward
+from holdlab import config, forward
 from holdlab import score as score_module
 from holdlab.cli import (
     _config_from_args,
@@ -537,6 +537,50 @@ def test_repeated_training_point_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["generate", "fmem-sweep"])
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--ou-xi", "nan", "ou_xi"),
+        ("--alpha", "nan", "alpha"),
+        ("--l-inv", "inf", "l_inv"),
+        ("--t-start", "inf", "t_start"),
+    ],
+)
+def test_non_finite_parameter_exits_2_before_writing(
+    tmp_path, capsys, command, flag, value, field
+):
+    out = tmp_path / "out"
+    argv = [command, "--orders", "2", "--runs", "4", "--steps", "5", flag, value]
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "fmem-sweep"])
+def test_non_finite_csv_exits_2_before_writing(tmp_path, capsys, command):
+    data = tmp_path / "points.csv"
+    data.write_text("1,2\n3,4\nnan,0\n5,6\n")
+    out = tmp_path / "out"
+    argv = [command, "--orders", "2", "--n-train", "4", "--runs", "4", "--steps", "5"]
+    argv += ["--dataset", f"csv:path={data}", "--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(data) in err and "non-finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["filter", "collapse", "theorem1-check"])
+def test_orders_flags_parse_with_the_config_converter(capsys, command):
+    action = next(a for a in _subparser(command)._actions if a.dest == "orders")
+    assert action.type is config._int_list
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--orders", "x"])
+    assert exc.value.code == 2
+    assert "invalid _int_list value: 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "fmem-sweep"])
 def test_missing_config_file_exits_1(tmp_path, capsys, command):
     missing = tmp_path / "missing.json"
     out = tmp_path / "out"
@@ -674,6 +718,17 @@ class TestTheoremCheckCommand:
         )
         assert code == 4
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_error_exits_4(self, tmp_path, capsys):
+        # exp(1000 t) overflows, so the errors are NaN: a NaN is a failure.
+        out = tmp_path / "t1.csv"
+        argv = ["theorem1-check", "--forcings", "exp:-1000", "--steps", "1000"]
+        assert main(argv + ["--out", str(out)]) == 4
+        _, rows = read_csv(out)
+        assert len(rows) == 4 and all(math.isnan(float(r[2])) for r in rows)
+        assert "nan exceeds" in capsys.readouterr().err
+
     def test_bad_forcing_exits_2(self, tmp_path):
         code = main(
             ["theorem1-check", "--forcings", "warble:3", "--out", str(tmp_path / "x")]
@@ -687,7 +742,7 @@ class TestTheoremCheckCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("xi", ["0", "-1"])
+    @pytest.mark.parametrize("xi", ["0", "-1", "nan"])
     def test_bad_friction_exits_2(self, tmp_path, capsys, xi):
         out = tmp_path / "theorem1.csv"
         assert main(["theorem1-check", "--ou-xi", xi, "--out", str(out)]) == 2

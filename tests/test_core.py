@@ -101,6 +101,14 @@ class TestCriticallyDampedParams:
         with pytest.raises(ValueError):
             HoldParams(order=2, gammas=(1.0,), xi=0.0, l_inv=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["gammas", "xi", "l_inv", "alpha"])
+    def test_non_finite_fields_rejected(self, name, value):
+        fields = dict(order=2, gammas=(1.0,), xi=2.0, l_inv=1.0, alpha=1.0)
+        fields[name] = (value,) if name == "gammas" else value
+        with pytest.raises(ValueError, match="positive and finite"):
+            HoldParams(**fields)
+
 
 class TestForwardMatrix:
     def test_n3_entries(self):

@@ -128,6 +128,16 @@ class TestCsv:
         held = heldout_points(spec, 2, seed=0)
         assert np.array_equal(held, data[2:4])
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "pts.csv"
+        path.write_text(f"1.0,2.0\n3.0,{bad}\n5.0,6.0\n")
+        spec = CsvFileSpec(path=str(path))
+        for draw in (training_points, heldout_points):
+            with pytest.raises(ValueError, match="non-finite") as err:
+                draw(spec, 1, seed=0)
+            assert str(path) in str(err.value)
+
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("1.0,2.0\n")

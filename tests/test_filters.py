@@ -197,7 +197,7 @@ class TestNaturalResponse:
             params, lambda u, t: np.zeros(1), grid, rng_seed=12, h=1, runs=1
         )
         assert ok.all()
-        u_start = sample_prior(params, 1, [12, 0])
+        u_start = LiftedState(2, 1, sample_prior(params, 1, [12, 0]))
         want = natural_response(params, u_start, grid.t_end - grid.t_start)
         assert abs(ends[0, 0] - want[0]) <= 1e-5 * max(1.0, abs(want[0]))
 

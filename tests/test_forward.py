@@ -297,7 +297,8 @@ class TestSampleForward:
         p = critically_damped_params(2)
         u0 = LiftedState(2, 2, [1.0, -2.0, 0.5, 0.25])
         out = sample_forward(u0, p, zero_cov(2), 0.0, rng_seed=4)
-        assert np.array_equal(out.data, u0.data)
+        assert type(out) is np.ndarray and out.shape == (4,)
+        assert np.array_equal(out, u0.data)
 
     def test_seed_determinism(self):
         p = critically_damped_params(3)
@@ -305,9 +306,20 @@ class TestSampleForward:
         u0 = LiftedState(3, 1, np.array([1.0, 0.0, 0.0]))
         a = sample_forward(u0, p, s0, 0.7, rng_seed=123)
         b = sample_forward(u0, p, s0, 0.7, rng_seed=123)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
         c = sample_forward(u0, p, s0, 0.7, rng_seed=124)
-        assert not np.array_equal(a.data, c.data)
+        assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.37, 2.5])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_float_time_is_the_row_of_a_one_time_path(self, n, t):
+        p = HoldParams(1, (), 1.5, 1.0) if n == 1 else critically_damped_params(n)
+        s0 = initial_covariance(p, FixedPerSample(seed=1))
+        u0 = LiftedState(n, 3, np.arange(3.0 * n))
+        got = sample_forward(u0, p, s0, t, rng_seed=[4, 2])
+        path = sample_forward(u0, p, s0, np.array([t]), rng_seed=[4, 2])
+        assert type(got) is np.ndarray and got.shape == (3 * n,)
+        assert np.array_equal(got, path[0])
 
     def test_monte_carlo_moments(self):
         p = critically_damped_params(2, l_inv=1.0)
@@ -361,29 +373,30 @@ class TestSampleForward:
         assert np.abs(dense_factor - np.kron(factor, np.eye(h))).max() <= 1e-12
         eps = np.random.default_rng(777).standard_normal(2 * h)
         dense = np.kron(e, np.eye(h)) @ u0.data + dense_factor @ eps
-        assert np.abs(got.data - dense).max() <= 1e-12
+        assert np.abs(got - dense).max() <= 1e-12
 
 
 class TestLiftData:
     def test_marginalized_zero_auxiliaries(self):
         p = critically_damped_params(2)
         out = lift_data(np.array([1.0, 2.0]), p, Marginalized())
-        assert out.data.tolist() == [1.0, 2.0, 0.0, 0.0]
+        assert type(out) is np.ndarray
+        assert out.tolist() == [1.0, 2.0, 0.0, 0.0]
 
     def test_fixed_repeatable(self):
         p = critically_damped_params(3)
         pol = FixedPerSample(seed=42)
         a = lift_data(np.array([0.5]), p, pol, index=7)
         b = lift_data(np.array([0.5]), p, pol, index=7)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
         c = lift_data(np.array([0.5]), p, pol, index=8)
-        assert not np.array_equal(a.data, c.data)
+        assert not np.array_equal(a, c)
 
     def test_fixed_aux_variance(self):
         p = critically_damped_params(2, l_inv=1.0, alpha=1.0)
         pol = FixedPerSample(seed=3)
         draws = np.array(
-            [lift_data(np.zeros(2), p, pol, index=i).data[2:] for i in range(50_000)]
+            [lift_data(np.zeros(2), p, pol, index=i)[2:] for i in range(50_000)]
         ).ravel()
         assert abs(draws.var() - 1.0) <= 0.05
 
@@ -391,6 +404,6 @@ class TestLiftData:
         p = critically_damped_params(2, l_inv=2.0, alpha=0.5)
         pol = FixedPerSample(seed=3)
         draws = np.array(
-            [lift_data(np.zeros(1), p, pol, index=i).data[1:] for i in range(50_000)]
+            [lift_data(np.zeros(1), p, pol, index=i)[1:] for i in range(50_000)]
         ).ravel()
         assert abs(draws.var() - 1.0) <= 0.05

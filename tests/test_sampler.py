@@ -1,5 +1,6 @@
 """Reverse-sampler tests: grids, priors, the batched integrator, failures."""
 
+import inspect
 import math
 
 import numpy as np
@@ -30,13 +31,13 @@ def zero_score(h):
     return fn
 
 
-def flow_state(params, grid, rng_seed, method="heun"):
+def flow_state(params, grid, rng_seed):
     """Full lifted endpoint of one zero-score flow run (drift F u) started
     from the prior draw of ``rng_seed``."""
     fmat = build_forward_matrix(params).entries
-    start = sample_prior(params, 1, rng_seed).data[None]
+    start = sample_prior(params, 1, rng_seed)[None]
     state, ok, failures = sampler._integrate(
-        lambda u, t: kron_apply(fmat, u, 1), grid.times(), start, method
+        lambda u, t: kron_apply(fmat, u, 1), grid.times(), start
     )
     assert ok.all() and not failures
     return state[0]
@@ -52,7 +53,7 @@ def heun_single_run(params, score_fn, grid, rng_seed, h):
         out[..., -h:] -= gain * np.asarray(score_fn(u, t), dtype=float)
         return out
 
-    y = sample_prior(params, h, rng_seed).data
+    y = sample_prior(params, h, rng_seed)
     times = grid.times()
     for k in range(len(times) - 1):
         t0, t1 = float(times[k]), float(times[k + 1])
@@ -110,13 +111,16 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(spacing="cubic")
 
+    @pytest.mark.parametrize("t_start", [math.inf, math.nan])
+    def test_t_start_must_be_finite(self, t_start):
+        with pytest.raises(ValueError, match="finite t_start"):
+            TimeGrid(t_start=t_start)
+
 
 class TestSamplePrior:
     def test_moments(self):
         params = critically_damped_params(2, l_inv=1.0)
-        draws = np.stack(
-            [sample_prior(params, 1, [9, i]).data for i in range(100_000)]
-        )
+        draws = np.stack([sample_prior(params, 1, [9, i]) for i in range(100_000)])
         assert np.abs(draws.mean(axis=0)).max() <= 4.0 / math.sqrt(100_000)
         assert np.abs(draws.var(axis=0) - 1.0).max() <= 0.03
 
@@ -124,11 +128,12 @@ class TestSamplePrior:
         params = critically_damped_params(3)
         a = sample_prior(params, 2, 42)
         b = sample_prior(params, 2, 42)
-        assert np.array_equal(a.data, b.data)
+        assert type(a) is np.ndarray and a.shape == (6,)
+        assert np.array_equal(a, b)
 
     def test_l_inv_scaling(self):
         params = critically_damped_params(2, l_inv=4.0)
-        draws = np.stack([sample_prior(params, 1, [3, i]).data for i in range(20_000)])
+        draws = np.stack([sample_prior(params, 1, [3, i]) for i in range(20_000)])
         assert np.abs(draws.var(axis=0) - 4.0).max() <= 0.2
 
 
@@ -137,7 +142,7 @@ class TestPfOdeGenerate:
         params = critically_damped_params(2)
         grid = TimeGrid(steps=1000)
         end = flow_state(params, grid, 5)
-        u_start = sample_prior(params, 1, 5).data
+        u_start = sample_prior(params, 1, 5)
         e = expm_at(params, grid.t_end - grid.t_start)
         want = e @ u_start
         err = np.linalg.norm(end - want) / np.linalg.norm(want)
@@ -160,17 +165,17 @@ class TestPfOdeGenerate:
         b = flow_state(params, grid, 3)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("method,slope", [("heun", -2.0), ("euler", -1.0)])
-    def test_integrator_order(self, method, slope):
+    @pytest.mark.parametrize("slope", [-2.0], ids=["heun--2.0"])
+    def test_integrator_order(self, slope):
         params = critically_damped_params(2)
         u_ref = None
         errors = []
         step_counts = [250, 500, 1000, 2000]
         for steps in step_counts:
             grid = TimeGrid(steps=steps)
-            end = flow_state(params, grid, 6, method=method)
+            end = flow_state(params, grid, 6)
             if u_ref is None:
-                start = sample_prior(params, 1, 6).data
+                start = sample_prior(params, 1, 6)
                 e = expm_at(params, grid.t_end - grid.t_start)
                 u_ref = e @ start
             errors.append(np.linalg.norm(end - u_ref))
@@ -187,7 +192,7 @@ class TestOuSamplers:
             params, zero_score(1), grid, rng_seed=44, h=1, runs=1
         )
         assert ok.all()
-        x_start = sample_prior(params, 1, [44, 0]).data
+        x_start = sample_prior(params, 1, [44, 0])
         want = math.exp(-xi * (grid.t_end - grid.t_start)) * x_start
         assert np.abs(ends[0] - want).max() <= 1e-4 * np.abs(want).max()
 
@@ -224,8 +229,8 @@ class TestBatchEndpoints:
             single = heun_single_run(params, fn, grid, [9, i], h=1)
             assert np.abs(batch[i] - single[:1]).max() <= 1e-9
 
-    @pytest.mark.parametrize("method, per_step", [("heun", 2), ("euler", 1)])
-    def test_score_calls_per_step(self, method, per_step):
+    @pytest.mark.parametrize("per_step", [2], ids=["heun-2"])
+    def test_score_calls_per_step(self, per_step):
         params = critically_damped_params(3)
         pol = FixedPerSample(seed=4)
         ds = Dataset(np.array([[2.0, 0.0], [-2.0, 1.0], [0.0, -2.0]]))
@@ -236,30 +241,17 @@ class TestBatchEndpoints:
             calls.append(t)
             return base(u, t)
 
-        pf_ode_endpoints(
-            params, fn, TimeGrid(steps=30), rng_seed=6, h=2, runs=3, method=method
-        )
+        pf_ode_endpoints(params, fn, TimeGrid(steps=30), rng_seed=6, h=2, runs=3)
         assert len(calls) == 30 * per_step
 
-    def test_unknown_method_rejected_up_front(self, monkeypatch):
-        draws, calls = [], []
-        real_prior = sampler.sample_prior
-        monkeypatch.setattr(
-            sampler,
-            "sample_prior",
-            lambda *a: draws.append(a) or real_prior(*a),
-        )
-
-        def fn(u, t):
-            calls.append(t)
-            return np.zeros(np.shape(u)[:-1] + (1,))
-
-        with pytest.raises(ValueError, match="rk4"):
+    def test_heun_is_the_only_scheme(self):
+        # No scheme to choose: a method keyword is an unknown argument.
+        with pytest.raises(TypeError):
             pf_ode_endpoints(
-                critically_damped_params(2), fn, TimeGrid(steps=10), rng_seed=1,
-                h=1, runs=2, method="rk4",
+                critically_damped_params(2), zero_score(1), TimeGrid(steps=10),
+                rng_seed=1, h=1, runs=2, method="heun",
             )
-        assert not draws and not calls
+        assert "method" not in inspect.signature(sampler._integrate).parameters
 
     def test_failures_reported_and_frozen(self):
         params = critically_damped_params(2)
@@ -278,8 +270,8 @@ class TestBatchEndpoints:
         assert len(failures) == 6
         assert np.all(np.isfinite(batch))
 
-    @pytest.mark.parametrize("method, per_step", [("euler", 1), ("heun", 2)])
-    def test_failed_runs_stay_frozen(self, method, per_step):
+    @pytest.mark.parametrize("per_step", [2], ids=["heun-2"])
+    def test_failed_runs_stay_frozen(self, per_step):
         # A score that blows up only on 0.5 < t < 0.52: a run that fails there
         # must not resume once the forcing is back within the guard.
         params = critically_damped_params(2)
@@ -293,7 +285,7 @@ class TestBatchEndpoints:
             return out
 
         batch, ok, failures = pf_ode_endpoints(
-            params, spike, TimeGrid(), rng_seed=3, h=1, runs=4, method=method
+            params, spike, TimeGrid(), rng_seed=3, h=1, runs=4
         )
         assert not ok.any() and len(failures) == 4
         for run, step in failures:

@@ -1,5 +1,6 @@
 """Empirical-score tests: mixtures, responsibilities, gradients, loss."""
 
+import dataclasses
 import math
 import weakref
 
@@ -10,7 +11,6 @@ from holdlab import (
     Dataset,
     FixedPerSample,
     HoldParams,
-    LiftedState,
     Marginalized,
     T_EPS,
     TimeGrid,
@@ -32,7 +32,7 @@ from holdlab import score as score_module
 from holdlab.core import expm_at
 from holdlab.datasets import GaussianMixtureSpec, training_points
 from holdlab.forward import schedule
-from holdlab.score import log_density_shifted
+from holdlab.score import EmpiricalMixture, log_density_shifted
 from test_sampler import ou_score
 
 
@@ -62,7 +62,10 @@ class TestMixtureAt:
         mix = mixture_at(ds, params, s0, pol, 0.0)
         assert mix.n_components == 1
         assert np.array_equal(mix.centers[0], ds.lifted(params, pol)[0])
-        assert np.array_equal(mix.cov.small, np.zeros((2, 2)))
+        # A zero covariance: the factor is that of the 1e-12 floor.
+        sched = schedule(params, s0, [0.0])
+        assert not sched.cov.small.any() and sched.delta[0] == 1e-12
+        assert np.array_equal(mix.chol, sched.chol[0])
 
     def test_centers_decay_at_large_t(self):
         mix, *_ = make_mixture(n=3, h=2, t=20.0)
@@ -87,8 +90,7 @@ class TestMixtureAt:
 class TestResponsibilities:
     def test_midpoint_symmetric(self):
         mix, *_ = make_mixture(n=2, h=1, t=0.5)
-        mid = LiftedState(2, 1, np.zeros(2))
-        w = responsibilities(mix, mid)
+        w = responsibilities(mix, np.zeros(2))
         assert np.allclose(w, [0.5, 0.5], atol=1e-12, rtol=0)
 
     def test_far_centers_one_hot(self):
@@ -107,6 +109,13 @@ class TestResponsibilities:
         batch = rng.standard_normal((40, 6))
         w = responsibilities(mix, batch)
         assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (3, 1)])
+    def test_wrong_state_length_rejected(self, shape):
+        mix, *_ = make_mixture(n=2, h=1, t=0.5)
+        for fn in (responsibilities, score_full, log_density_shifted):
+            with pytest.raises(ValueError, match="state shape"):
+                fn(mix, np.ones(shape))
 
     def test_huge_separation_no_nan(self):
         params = ou_params()
@@ -127,9 +136,9 @@ class TestScoreFull:
         ds = Dataset(np.array([[2.0]]))
         s0 = initial_covariance(params, pol)
         mix = mixture_at(ds, params, s0, pol, 0.7)
-        u = LiftedState(2, 1, np.array([0.3, -0.4]))
+        u = np.array([0.3, -0.4])
         got = score_full(mix, u)
-        want = np.linalg.solve(mix.cov.small, mix.centers[0] - u.data)
+        want = np.linalg.solve(covariance_at(params, s0, 0.7).small, mix.centers[0] - u)
         assert np.abs(got - want).max() <= 1e-10
 
     @pytest.mark.parametrize("n,h", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
@@ -156,7 +165,8 @@ class TestScoreFull:
         mix, ds, params, s0, pol = make_mixture(n=2, h=1, t=0.5)
         u = np.zeros(2)
         got = score_full(mix, u)
-        want = np.linalg.solve(mix.cov.small, mix.centers.mean(axis=0) - u)
+        sigma = covariance_at(params, s0, 0.5).small
+        want = np.linalg.solve(sigma, mix.centers.mean(axis=0) - u)
         assert np.abs(got - want).max() <= 1e-10
 
 
@@ -399,7 +409,7 @@ class TestBatchedTimes:
             one = mixture_at(ds, params, s0, pol, float(t))
             assert np.array_equal(mix.chol[b], one.chol)
             assert np.array_equal(mix.white_centers[b], one.white_centers)
-            assert mix.chol_shift[b] == one.chol_shift
+            assert np.array_equal(mix.chol_inv[b], one.chol_inv)
             want = score_full(one, u[b])
             assert np.abs(score[b] - want).max() <= 1e-12 * np.abs(want).max()
             assert np.abs(w[b] - responsibilities(one, u[b])).max() <= 1e-12
@@ -427,7 +437,8 @@ def reference_kernel(mix, batch):
 
     One triangular system per (point, center) pair against the block factor
     gives the squared Mahalanobis distances; the score comes from a dense
-    (Sigma x I_h) solve, with Sigma the covariance the factor represents.
+    (Sigma x I_h) solve, with Sigma = L L^T the covariance the factor
+    represents (Sigma_t + delta I of the schedule).
     """
     n, h = mix.order, mix.block_dim
     diffs = batch[:, None, :] - mix.centers[None, :, :]
@@ -438,7 +449,7 @@ def reference_kernel(mix, batch):
     e = np.exp(lw - m[:, None])
     w = e / e.sum(axis=1, keepdims=True)
     logp = m + np.log(e.sum(axis=1))
-    sigma = mix.cov.small + mix.chol_shift * np.eye(n)
+    sigma = mix.chol @ mix.chol.T
     dense = np.kron(sigma, np.eye(h))
     score = np.linalg.solve(dense, (w @ mix.centers - batch).T).T
     return sq, w, logp, score
@@ -471,7 +482,8 @@ class TestKernelOracle:
         for n_train in (1, 8, 256):
             ds = Dataset(3.0 * rng.standard_normal((n_train, 2)))
             mix = mixture_at(ds, params, s0, policy, t)
-            bound = max(1e-10, 1e-18 * np.linalg.cond(mix.cov.small))
+            sigma = schedule(params, s0, [t]).cov.small[0]
+            bound = max(1e-10, 1e-18 * np.linalg.cond(sigma))
             u = forward_probes(mix, rng, 24)
             _, w_ref, logp_ref, score_ref = reference_kernel(mix, u)
             score = score_full(mix, u)
@@ -542,8 +554,8 @@ class TestScoreMemo:
         want = np.stack([score_last_block(m, row) for m, row in zip(singles, u)])
         assert np.abs(fn(u, times) - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("method, builds", [("heun", 41), ("euler", 40)])
-    def test_one_build_per_grid_time(self, monkeypatch, method, builds):
+    @pytest.mark.parametrize("builds", [41], ids=["heun-41"])
+    def test_one_build_per_grid_time(self, monkeypatch, builds):
         # A k-step Heun pass evaluates 2k times at k + 1 distinct times.
         ds, params, s0, pol = self._setup()
         real = score_module.mixture_at
@@ -559,7 +571,7 @@ class TestScoreMemo:
         monkeypatch.setattr(score_module, "mixture_at", counting)
         fn = empirical_score_fn(ds, params, s0, pol)
         grid = TimeGrid(steps=40)
-        pf_ode_endpoints(params, fn, grid, rng_seed=5, h=2, runs=6, method=method)
+        pf_ode_endpoints(params, fn, grid, rng_seed=5, h=2, runs=6)
         assert len(times) == builds
         assert times == [float(t) for t in grid.times()[:builds]]
         assert sum(ref() is not None for ref in live) <= 2
@@ -636,15 +648,15 @@ class TestComponentMajorKernel:
 
 
 def scalar_pieces(ds, params, s0, pol, t):
-    """A single-time mixture's fields as built before schedules: scalar
-    ``expm_at``, ``covariance_at``, ``cholesky_block`` and inverse."""
+    """A single-time mixture's fields as built before schedules (scalar
+    ``expm_at``, ``cholesky_block`` and inverse), then Sigma_t and the floor."""
     h = ds.h
     centers = kron_apply(expm_at(params, t)[None], ds.lifted(params, pol), h)
     cov = covariance_at(params, s0, t)
     factor, shift = cholesky_block(cov)
     inv = np.linalg.inv(factor)
     white = kron_apply(inv[None], centers, h)
-    return centers, cov.small, factor, shift, inv, white
+    return (centers, factor, inv, white), (cov.small, shift)
 
 
 class TestScheduledMixture:
@@ -660,13 +672,22 @@ class TestScheduledMixture:
             for k, t in enumerate(times.tolist()):
                 mix = score_module._mixture(ds, params, policy, sched, k)
                 one = mixture_at(ds, params, s0, policy, t)
-                want = scalar_pieces(ds, params, s0, policy, t)
+                want, (sigma, shift) = scalar_pieces(ds, params, s0, policy, t)
                 for m in (mix, one):
-                    got = (m.centers, m.cov.small, m.chol, m.chol_shift, m.chol_inv,
-                           m.white_centers)
+                    got = (m.centers, m.chol, m.chol_inv, m.white_centers)
                     assert all(np.array_equal(a, b) for a, b in zip(got, want))
-                    assert type(m.t) is float and m.t == m.cov.t == t
-                    assert type(m.chol_shift) is float
+                # Sigma_t and its floor live on the schedule, not the mixture.
+                assert sched.times[k] == t and sched.delta[k] == shift
+                assert np.array_equal(sched.cov.small[k], sigma)
+
+    def test_mixture_holds_only_what_the_kernel_reads(self):
+        names = [f.name for f in dataclasses.fields(EmpiricalMixture)]
+        assert names == [
+            "order", "block_dim", "centers", "chol", "chol_inv", "white_centers"
+        ]
+        mix, *_ = make_mixture(n=2, h=1, t=0.5)
+        for gone in ("cov", "t", "chol_shift"):
+            assert not hasattr(mix, gone), gone
 
     def test_score_fn_builds_each_grid_time_once_from_the_schedule(self, monkeypatch):
         ds, params, s0, pol = criterion07_setup(3)
