@@ -11,7 +11,8 @@ Subcommands::
 
 Every command is a pure function of (config, seed): re-runs produce
 byte-identical artifacts.  Floats are printed with 17 significant digits so
-the CSVs round-trip exactly.
+the CSVs round-trip exactly; each CSV's directory (``--impulse-out``'s too) is
+made as needed.  ``generate`` and ``fmem-sweep`` run one cell loop, ``_cells``.
 
 Exit codes: 0 success; 1 I/O failure; 2 usage or configuration error;
 3 more than 1% of generation runs diverged; 4 equivalence tolerance
@@ -71,6 +72,7 @@ def _fmt(value) -> str:
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -133,7 +135,6 @@ def cmd_filter(args) -> int:
         series[label] = list(zip(omegas.tolist(), mags.tolist()))
         rows.extend([float(w), label, float(m)] for w, m in zip(omegas, mags))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(out, ["omega", "label", "magnitude"], rows)
     if args.impulse_out:
         impulse_rows = []
@@ -150,8 +151,6 @@ def cmd_filter(args) -> int:
             title="Frequency magnitudes",
             x_label="omega",
             y_label="|H(i omega)|",
-            log_x=True,
-            log_y=True,
         )
     return 0
 
@@ -160,7 +159,6 @@ def cmd_collapse(args) -> int:
     t_grid = _log_grid(args.t_min, args.t_max, args.t_points, "t")
     table = collapse_curve(args.orders, t_grid, xi=args.ou_xi)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(out, ["n", "t", "det_ratio"], [list(r) for r in table])
     if args.svg:
         series: dict[str, list[tuple[float, float]]] = {}
@@ -172,41 +170,7 @@ def cmd_collapse(args) -> int:
             title="Collapse determinant ratio",
             x_label="t",
             y_label="ratio",
-            log_x=True,
-            log_y=True,
         )
-    return 0
-
-
-def _generate_endpoints(
-    config: ExperimentConfig,
-    order: int,
-    train: np.ndarray,
-    policy,
-    policy_idx: int,
-):
-    """Shared generation core: returns (positions, ok mask, failures)."""
-    params = _order_params(order, config.ou_xi, config.l_inv, config.alpha)
-    dataset = Dataset(train)
-    sigma0 = initial_covariance(params, policy)
-    sched = schedule(params, sigma0, config.grid.times())
-    score_fn = empirical_score_fn(dataset, params, sigma0, policy, schedule=sched)
-    positions, ok, failures = pf_ode_endpoints(
-        params,
-        score_fn,
-        config.grid,
-        rng_seed=[config.seed, order, len(train), policy_idx],
-        h=train.shape[1],
-        runs=config.runs,
-    )
-    return positions, ok, failures
-
-
-def _failure_exit(diverged: int, total_runs: int) -> int:
-    """Exit code 3 when the diverged runs reach FAILURE_BUDGET, else 0."""
-    if total_runs and diverged / total_runs >= FAILURE_BUDGET:
-        print(f"error: {diverged}/{total_runs} runs diverged", file=sys.stderr)
-        return 3
     return 0
 
 
@@ -216,22 +180,64 @@ def _config_from_args(args) -> ExperimentConfig:
     return load_config(args.config, {key: getattr(args, key) for key in OVERRIDE_KEYS})
 
 
+def _prepare(config: ExperimentConfig, check_train=lambda n, train: None):
+    """Preamble after the command's config check: the [(n_train, Dataset)] draws,
+    each passed to ``check_train``, and ``out_dir`` holding its resolved config."""
+    trains = []
+    for n_train in config.n_train:
+        train = training_points(config.dataset, n_train, config.seed)
+        check_train(n_train, train)
+        trains.append((n_train, Dataset(train)))
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_resolved_config(config, out_dir)
+    return trains, out_dir
+
+
+def _cells(config: ExperimentConfig, trains):
+    """The experiment loop: yields (order, n_train, policy_name, positions,
+    ok, failures) per cell, orders outer, then training sets, then policies.
+    Run i of a cell is seeded [seed, order, n_train, policy index, i]."""
+    times = config.grid.times()
+    for order in config.orders:
+        params = _order_params(order, config.ou_xi, config.l_inv, config.alpha)
+        arms = []
+        for name, policy in config.policies():
+            sigma0 = initial_covariance(params, policy)
+            arms.append((name, policy, sigma0, schedule(params, sigma0, times)))
+        for n_train, dataset in trains:
+            for policy_idx, (name, policy, sigma0, sched) in enumerate(arms):
+                score_fn = empirical_score_fn(
+                    dataset, params, sigma0, policy, schedule=sched
+                )
+                positions, ok, failures = pf_ode_endpoints(
+                    params, score_fn, config.grid, h=dataset.h, runs=config.runs,
+                    rng_seed=[config.seed, order, n_train, policy_idx],
+                )
+                yield order, n_train, name, positions, ok, failures
+
+
+def _finish(config: ExperimentConfig, out_dir: Path, header, failure_rows) -> int:
+    """The experiment epilogue: ``failures.csv``, then exit code 3 when the
+    diverged runs reach FAILURE_BUDGET of all runs, else 0."""
+    _write_csv(out_dir / "failures.csv", header, failure_rows)
+    cells = len(config.orders) * len(config.n_train) * len(config.policies())
+    diverged, total_runs = len(failure_rows), cells * config.runs
+    if diverged / total_runs >= FAILURE_BUDGET:
+        print(f"error: {diverged}/{total_runs} runs diverged", file=sys.stderr)
+        return 3
+    return 0
+
+
 def cmd_generate(args) -> int:
     config = _config_from_args(args)
     if len(config.n_train) != 1:
         raise ConfigError("generate needs a single n_train value")
     if config.aux_policy == "both":
         raise ConfigError("generate needs a single aux_policy")
-    train = training_points(config.dataset, config.n_train[0], config.seed)
-    policy = config.policies()[0][1]
-    out_dir = Path(config.out_dir)
+    trains, out_dir = _prepare(config)
     failure_rows: list[list] = []
-    total_runs = 0
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_resolved_config(config, out_dir)
-    for order in config.orders:
-        positions, ok, failures = _generate_endpoints(config, order, train, policy, 0)
-        total_runs += config.runs
+    for order, _, _, positions, ok, failures in _cells(config, trains):
         header = ["run"] + [f"x{i}" for i in range(positions.shape[1])]
         rows = [
             [run] + [float(v) for v in positions[run]]
@@ -240,8 +246,15 @@ def cmd_generate(args) -> int:
         ]
         _write_csv(out_dir / f"endpoints_{order}.csv", header, rows)
         failure_rows.extend([order, run, step] for run, step in failures)
-    _write_csv(out_dir / "failures.csv", ["order", "run", "step"], failure_rows)
-    return _failure_exit(len(failure_rows), total_runs)
+    return _finish(config, out_dir, ["order", "run", "step"], failure_rows)
+
+
+def _two_distinct(n_train: int, train: np.ndarray) -> None:
+    if not (train != train[0]).any():  # every point repeats the first
+        raise ConfigError(
+            "fmem-sweep needs at least two distinct training points for a "
+            f"gap ratio; the n_train = {n_train} draw has fewer"
+        )
 
 
 def cmd_fmem_sweep(args) -> int:
@@ -251,53 +264,33 @@ def cmd_fmem_sweep(args) -> int:
             "fmem-sweep needs n_train >= 2: the gap ratio compares the nearest "
             "and second-nearest training points"
         )
-    trains = []
-    for n_train in config.n_train:
-        train = training_points(config.dataset, n_train, config.seed)
-        if not (train != train[0]).any():  # every point repeats the first
-            raise ConfigError(
-                "fmem-sweep needs at least two distinct training points for a "
-                f"gap ratio; the n_train = {n_train} draw has fewer"
-            )
-        trains.append((n_train, train))
-    out_dir = Path(config.out_dir)
+    trains, out_dir = _prepare(config, _two_distinct)
+    draws = {  # each training set with its held-out set
+        n: (data.points, heldout_points(config.dataset, max(n, 256), config.seed))
+        for n, data in trains
+    }
     rows: list[list] = []
     failure_rows: list[list] = []
-    total_runs = 0
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_resolved_config(config, out_dir)
-    for order in config.orders:
-        for n_train, train in trains:
-            for policy_idx, (policy_name, policy) in enumerate(config.policies()):
-                positions, ok, failures = _generate_endpoints(
-                    config, order, train, policy, policy_idx
-                )
-                total_runs += config.runs
-                failure_rows.extend(
-                    [order, n_train, policy_name, run, step] for run, step in failures
-                )
-                # A cell with no surviving run has no sample to score.
-                scores = [math.nan] * 4
-                if ok.any():
-                    report = fmem(positions[ok], train, tau=config.tau)
-                    held = heldout_points(
-                        config.dataset, max(n_train, 256), config.seed
-                    )
-                    w2 = gaussian_w2(positions[ok], held)
-                    scores = [report.fraction, report.ci_low, report.ci_high, w2]
-                rows.append([order, n_train, policy_name, *scores])
+    for order, n_train, policy_name, positions, ok, failures in _cells(config, trains):
+        failure_rows.extend(
+            [order, n_train, policy_name, run, step] for run, step in failures
+        )
+        # A cell with no surviving run has no sample to score.
+        scores = [math.nan] * 4
+        if ok.any():
+            train, held = draws[n_train]
+            report = fmem(positions[ok], train, tau=config.tau)
+            w2 = gaussian_w2(positions[ok], held)
+            scores = [report.fraction, report.ci_low, report.ci_high, w2]
+        rows.append([order, n_train, policy_name, *scores])
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     _write_csv(
         out_dir / "sweep.csv",
         ["order", "n_train", "policy", "fmem", "ci_low", "ci_high", "w2"],
         rows,
     )
-    _write_csv(
-        out_dir / "failures.csv",
-        ["order", "n_train", "policy", "run", "step"],
-        failure_rows,
-    )
-    return _failure_exit(len(failure_rows), total_runs)
+    header = ["order", "n_train", "policy", "run", "step"]
+    return _finish(config, out_dir, header, failure_rows)
 
 
 def _forcing_values(spec: str, times: np.ndarray) -> np.ndarray:
@@ -352,9 +345,7 @@ def cmd_theorem1_check(args) -> int:
             scale = float(np.linalg.norm(ora))
             err = float(np.linalg.norm(rec - ora)) / max(scale, 1e-30)
             rows.append([label, fname, err])
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out, ["label", "forcing", "rel_l2_error"], rows)
+    _write_csv(Path(args.out), ["label", "forcing", "rel_l2_error"], rows)
     worst = np.max([row[2] for row in rows])  # NaN propagates, unlike max()
     if not worst <= THEOREM_TOL:
         print(

@@ -32,8 +32,8 @@ class GaussianMixtureSpec:
     dim: int = 2
 
     def __post_init__(self):
-        if self.k < 1 or self.dim < 1 or self.spread <= 0:
-            raise ValueError("GaussianMixtureSpec needs k >= 1, dim >= 1, spread > 0")
+        if self.k < 1 or self.dim < 1 or not 0 < self.spread < np.inf:  # NaN fails
+            raise ValueError("GaussianMixtureSpec needs k, dim >= 1, 0 < spread < inf")
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ class RingSpec:
     def __post_init__(self):
         if self.dim != 2:
             raise ValueError("RingSpec is two-dimensional")
-        if self.radius <= 0 or self.noise < 0:
-            raise ValueError("RingSpec needs radius > 0 and noise >= 0")
+        if not (0 < self.radius < np.inf and 0 <= self.noise < np.inf):
+            raise ValueError("RingSpec needs 0 < radius < inf and 0 <= noise < inf")
 
 
 @dataclass(frozen=True)

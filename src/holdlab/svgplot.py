@@ -1,4 +1,4 @@
-"""Minimal SVG line charts: polylines, axis ticks, and labels.
+"""Minimal SVG line charts on log-log axes: polylines, decade ticks, and labels.
 
 Plots are a convenience companion to CSV outputs, emitted without any
 plotting dependency.  Output is deterministic for fixed input.
@@ -14,34 +14,17 @@ _MARGIN = 60
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def _transform(value: float, lo: float, hi: float, log: bool) -> float:
-    if log:
-        value, lo, hi = math.log10(value), math.log10(lo), math.log10(hi)
+def _transform(value: float, lo: float, hi: float) -> float:
+    value, lo, hi = math.log10(value), math.log10(lo), math.log10(hi)
     if hi == lo:
         return 0.5
     return (value - lo) / (hi - lo)
 
 
-def _ticks(lo: float, hi: float, log: bool) -> list[float]:
-    if log:
-        first = math.ceil(math.log10(lo) - 1e-9)
-        last = math.floor(math.log10(hi) + 1e-9)
-        return [10.0**e for e in range(first, last + 1)]
-    span = hi - lo
-    if span <= 0:
-        return [lo]
-    step = 10.0 ** math.floor(math.log10(span / 4))
-    for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= 6:
-            step *= mult
-            break
-    start = math.ceil(lo / step) * step
-    ticks = []
-    v = start
-    while v <= hi + 1e-12 * abs(span):
-        ticks.append(v)
-        v += step
-    return ticks
+def _ticks(lo: float, hi: float) -> list[float]:
+    first = math.ceil(math.log10(lo) - 1e-9)
+    last = math.floor(math.log10(hi) + 1e-9)
+    return [10.0**e for e in range(first, last + 1)]
 
 
 def line_chart(
@@ -50,27 +33,22 @@ def line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    log_x: bool = False,
-    log_y: bool = False,
 ) -> None:
-    """Write a labelled multi-series line chart to ``path``."""
+    """Write a labelled multi-series line chart on log-log axes to ``path``;
+    points with a nonpositive coordinate are left out."""
     points = [p for pts in series.values() for p in pts]
-    xs = [p[0] for p in points if not log_x or p[0] > 0]
-    ys = [p[1] for p in points if not log_y or p[1] > 0]
+    xs = [p[0] for p in points if p[0] > 0]
+    ys = [p[1] for p in points if p[1] > 0]
     if not xs or not ys:
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
-    if not log_y and y_lo == y_hi:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
 
     def px(x: float) -> float:
-        return _MARGIN + _transform(x, x_lo, x_hi, log_x) * (_WIDTH - 2 * _MARGIN)
+        return _MARGIN + _transform(x, x_lo, x_hi) * (_WIDTH - 2 * _MARGIN)
 
     def py(y: float) -> float:
-        return _HEIGHT - _MARGIN - _transform(y, y_lo, y_hi, log_y) * (
-            _HEIGHT - 2 * _MARGIN
-        )
+        return _HEIGHT - _MARGIN - _transform(y, y_lo, y_hi) * (_HEIGHT - 2 * _MARGIN)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
@@ -86,7 +64,7 @@ def line_chart(
             f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
             f'font-size="16">{title}</text>'
         )
-    for tick in _ticks(x_lo, x_hi, log_x):
+    for tick in _ticks(x_lo, x_hi):
         x = px(tick)
         parts.append(
             f'<line x1="{x:.1f}" y1="{_HEIGHT - _MARGIN}" x2="{x:.1f}" '
@@ -96,7 +74,7 @@ def line_chart(
             f'<text x="{x:.1f}" y="{_HEIGHT - _MARGIN + 18}" text-anchor="middle" '
             f'font-size="10">{tick:g}</text>'
         )
-    for tick in _ticks(y_lo, y_hi, log_y):
+    for tick in _ticks(y_lo, y_hi):
         y = py(tick)
         parts.append(
             f'<line x1="{_MARGIN - 5}" y1="{y:.1f}" x2="{_MARGIN}" '
@@ -118,11 +96,7 @@ def line_chart(
             f"{y_label}</text>"
         )
     for idx, (label, pts) in enumerate(series.items()):
-        keep = [
-            p
-            for p in pts
-            if (not log_x or p[0] > 0) and (not log_y or p[1] > 0)
-        ]
+        keep = [(x, y) for x, y in pts if x > 0 and y > 0]
         if not keep:
             continue
         color = _COLORS[idx % len(_COLORS)]

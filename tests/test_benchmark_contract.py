@@ -16,6 +16,7 @@ import pytest
 from holdlab import (
     Dataset,
     FixedPerSample,
+    cli,
     critically_damped_params,
     empirical_score_fn,
     initial_covariance,
@@ -85,3 +86,28 @@ def test_score_callback_takes_the_oracles_single_point_form():
         assert u.shape == (4,) and got.shape == (2,) and np.isfinite(got).all()
     assert max(oracle.relative_errors(ref, score_fn, t, probes)) <= 1e-10
     assert mixture_at(dataset, params, sigma0, policy, t).n_components == 3
+
+
+def test_endpoint_recorder_sees_every_cell_of_one_driver(tmp_path):
+    # workloads.EndpointRecorder patches cli.pf_ode_endpoints and keys each
+    # call by its rng_seed keyword.  generate and fmem-sweep share one cell
+    # driver, so a generate cell equals its fmem-sweep twin bit for bit.
+    recorder = load("workloads").EndpointRecorder()
+    flags = ["--orders", "1,2", "--runs", "3", "--steps", "40", "--seed", "5"]
+    recorder.install()
+    try:
+        argv = ["generate", *flags, "--n-train", "4", "--out-dir", str(tmp_path / "g")]
+        assert cli.main(argv) == 0
+        generated = recorder.take()
+        argv = ["fmem-sweep", *flags, "--n-train", "4,6", "--aux-policy", "both"]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "s")]) == 0
+        swept = recorder.take()
+    finally:
+        recorder.uninstall()
+    assert set(generated) == {(5, order, 4, 0) for order in (1, 2)}
+    cells = {(5, o, n, p) for o in (1, 2) for n in (4, 6) for p in (0, 1)}
+    assert set(swept) == cells
+    for key, (positions, ok) in generated.items():
+        twin_positions, twin_ok = swept[key]
+        assert positions.tobytes() == twin_positions.tobytes(), key
+        assert ok.tobytes() == twin_ok.tobytes(), key

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from holdlab import (
+    Dataset,
     HoldFilter,
     HoldParams,
     LiftedState,
@@ -19,13 +20,7 @@ from holdlab import (
 )
 from holdlab import config, forward
 from holdlab import score as score_module
-from holdlab.cli import (
-    _config_from_args,
-    _forcing_values,
-    _generate_endpoints,
-    build_parser,
-    main,
-)
+from holdlab.cli import _cells, _config_from_args, _forcing_values, build_parser, main
 from holdlab.config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from holdlab.sampler import TimeGrid
 
@@ -119,6 +114,13 @@ class TestFilterCommand:
         assert float(ou_zero[0][2]) == -1.0
         hold_zero = [r for r in rows if r[1] == "hold3" and float(r[0]) == 0.0]
         assert float(hold_zero[0][2]) == 0.0
+
+    def test_impulse_table_into_a_new_directory(self, tmp_path):
+        # Like --out, --impulse-out creates its parent directory.
+        out, imp = tmp_path / "a" / "filter.csv", tmp_path / "b" / "impulse.csv"
+        argv = ["filter", "--out", str(out), "--impulse-out", str(imp)]
+        assert main(argv + ["--impulse-points", "10"]) == 0
+        assert read_csv(imp)[0] == ["t", "label", "h"] and out.exists()
 
 
     @pytest.mark.parametrize(
@@ -509,8 +511,8 @@ def test_one_stacked_factorization_per_order(monkeypatch):
     forward._schedule.cache_clear()
     config = load_config(None, {"grid.steps": 250, "runs": 4})
     train = training_points(config.dataset, 8, config.seed)
-    for order in config.orders:
-        _generate_endpoints(config, order, train, config.policies()[0][1], 0)
+    cells = list(_cells(config, [(8, Dataset(train))]))
+    assert [cell[0] for cell in cells] == config.orders
     assert stacks == [(251, n, n) for n in config.orders]
     assert blocks == []
 
@@ -544,6 +546,10 @@ def test_repeated_training_point_exits_2(tmp_path, capsys):
         ("--alpha", "nan", "alpha"),
         ("--l-inv", "inf", "l_inv"),
         ("--t-start", "inf", "t_start"),
+        ("--dataset", "gaussian_mixture:k=4,spread=nan", "spread"),
+        ("--dataset", "gaussian_mixture:k=4,spread=inf", "spread"),
+        ("--dataset", "ring:radius=inf,noise=0.1", "radius"),
+        ("--dataset", "ring:radius=1,noise=nan", "noise"),
     ],
 )
 def test_non_finite_parameter_exits_2_before_writing(

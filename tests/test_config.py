@@ -170,7 +170,7 @@ class TestSvgPlot:
 
         pts = [(10.0**k, 10.0 ** (-k)) for k in range(-2, 4)]
         out = tmp_path / "log.svg"
-        line_chart({"curve": pts}, out, log_x=True, log_y=True, title="t")
+        line_chart({"curve": pts}, out, title="t")
         text = out.read_text()
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
         assert "polyline" in text

@@ -102,6 +102,22 @@ class TestRing:
             RingSpec(radius=1.0, noise=0.0, dim=3)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda bad: GaussianMixtureSpec(k=4, spread=bad),
+        lambda bad: RingSpec(radius=bad, noise=0.1),
+        lambda bad: RingSpec(radius=1.0, noise=bad),
+    ],
+    ids=["spread", "radius", "noise"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_size_rejected(make, bad):
+    # A NaN spread would never leave the center rejection loop.
+    with pytest.raises(ValueError, match="< inf"):
+        make(bad)
+
+
 class TestGrid:
     def test_lattice(self):
         spec = GridSpec(side=3, dim=2)
