@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", type=_int_list, default=[2, 3, 4])
     p.add_argument(
         "--forcings",
-        type=lambda s: [v for v in s.split(",") if v.strip()],
+        type=lambda s: [v.strip() for v in s.split(",") if v.strip()],
         default=["sin:3", "cos:2", "exp:1", "sinexp:5", "const:1"],
     )
     p.add_argument("--steps", type=int, default=10_000)

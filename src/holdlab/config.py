@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -27,22 +26,11 @@ from .datasets import (
 from .forward import AuxPolicy, FixedPerSample, Marginalized
 from .sampler import TimeGrid
 
-ENV_SEED = "HOLDLAB_SEED"
-
 _POLICY_NAMES = ("fixed", "marginalized", "both")
 
 
 class ConfigError(ValueError):
     """Malformed or contradictory experiment configuration."""
-
-
-def _env_seed() -> int:
-    """The seed of a config that names none: ``HOLDLAB_SEED``, else 0."""
-    text = os.environ.get(ENV_SEED, "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{ENV_SEED} must be an integer, got {text!r}") from None
 
 
 @dataclass
@@ -59,7 +47,7 @@ class ExperimentConfig:
     ou_xi: float = 1.0
     grid: TimeGrid = field(default_factory=TimeGrid)
     aux_policy: str = "fixed"
-    seed: int = field(default_factory=_env_seed)
+    seed: int = 0
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -78,6 +66,8 @@ class ExperimentConfig:
             raise ConfigError("n_train must be a positive integer or list of them")
         if self.aux_policy not in _POLICY_NAMES:
             raise ConfigError(f"aux_policy must be one of {_POLICY_NAMES}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
 
     def policies(self) -> list[tuple[str, AuxPolicy]]:
         fixed = ("fixed", FixedPerSample(seed=self.seed))
@@ -100,8 +90,6 @@ class _Record:
     fields: dict
 
     def __call__(self, value):
-        if isinstance(value, self.cls):
-            return value
         name = self.cls.__name__
         if not isinstance(value, dict):
             raise ConfigError(f"{name} must be an object, got {value!r}")
@@ -141,8 +129,6 @@ def _dataset_to_dict(spec: DatasetSpec) -> dict:
 
 def parse_dataset(value) -> DatasetSpec:
     """Parse a dataset spec from a JSON dict or a ``kind:key=val,...`` string."""
-    if isinstance(value, DatasetSpec):
-        return value
     if isinstance(value, str):
         kind, _, rest = value.partition(":")
         payload: dict = {"kind": kind.strip()}
@@ -165,14 +151,18 @@ def parse_dataset(value) -> DatasetSpec:
 
 
 def _int_list(value) -> list[int]:
-    """An integer, a list of them, or a comma-separated string of them."""
+    """An integer, a list of them, or a comma-separated string of them; a
+    repeated value is an error, since it would repeat a table row or file."""
     if isinstance(value, int):
         return [value]
     if isinstance(value, str):
         value = [v for v in value.split(",") if v.strip()]
     if not isinstance(value, (list, tuple)):
         raise TypeError("want an integer or a list of them")
-    return [int(v) for v in value]
+    ints = [int(v) for v in value]
+    if len(set(ints)) < len(ints):
+        raise ValueError(f"repeated value in {ints}")
+    return ints
 
 
 # The schema, in the order the CLI lists its flags.

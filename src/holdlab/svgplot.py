@@ -30,9 +30,9 @@ def _ticks(lo: float, hi: float) -> list[float]:
 def line_chart(
     series: dict[str, list[tuple[float, float]]],
     path,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
+    title: str,
+    x_label: str,
+    y_label: str,
 ) -> None:
     """Write a labelled multi-series line chart on log-log axes to ``path``;
     points with a nonpositive coordinate are left out."""
@@ -58,12 +58,9 @@ def line_chart(
         f'y2="{_HEIGHT - _MARGIN}" stroke="black"/>',
         f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" '
         f'y2="{_HEIGHT - _MARGIN}" stroke="black"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-size="16">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-size="16">{title}</text>'
-        )
     for tick in _ticks(x_lo, x_hi):
         x = px(tick)
         parts.append(
@@ -84,17 +81,13 @@ def line_chart(
             f'<text x="{_MARGIN - 8}" y="{y + 3:.1f}" text-anchor="end" '
             f'font-size="10">{tick:g}</text>'
         )
-    if x_label:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 14}" text-anchor="middle" '
-            f'font-size="12">{x_label}</text>'
-        )
-    if y_label:
-        parts.append(
-            f'<text x="16" y="{_HEIGHT / 2:.1f}" text-anchor="middle" '
-            f'font-size="12" transform="rotate(-90 16 {_HEIGHT / 2:.1f})">'
-            f"{y_label}</text>"
-        )
+    parts += [
+        f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 14}" text-anchor="middle" '
+        f'font-size="12">{x_label}</text>',
+        f'<text x="16" y="{_HEIGHT / 2:.1f}" text-anchor="middle" '
+        f'font-size="12" transform="rotate(-90 16 {_HEIGHT / 2:.1f})">'
+        f"{y_label}</text>",
+    ]
     for idx, (label, pts) in enumerate(series.items()):
         keep = [(x, y) for x, y in pts if x > 0 and y > 0]
         if not keep:

@@ -586,6 +586,43 @@ def test_orders_flags_parse_with_the_config_converter(capsys, command):
     assert "invalid _int_list value: 'x'" in capsys.readouterr().err
 
 
+def _exit_code(argv):
+    """main's return value, or the code of argparse's usage-error exit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["filter", "--orders", "2,2", "--svg", "--impulse-out", "{out}/h.csv"],
+        ["collapse", "--orders", "2,2", "--svg", "--out", "{out}/collapse.csv"],
+        ["theorem1-check", "--orders", "2,2", "--out", "{out}/theorem1.csv"],
+        ["generate", "--orders", "2,2", "--runs", "2", "--out-dir", "{out}"],
+        ["fmem-sweep", "--orders", "2,2", "--runs", "2", "--out-dir", "{out}"],
+        ["fmem-sweep", "--n-train", "3,3", "--runs", "2", "--out-dir", "{out}"],
+    ],
+)
+def test_repeated_value_exits_2_before_writing(tmp_path, capsys, argv):
+    # A repeated order or training-set size would repeat a row or a file.
+    out = tmp_path / "out"
+    argv = [arg.replace("{out}", str(out)) for arg in argv]
+    repeated = next(arg for arg in argv if arg in ("2,2", "3,3"))
+    assert _exit_code(argv) == 2
+    assert f"'{repeated}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["generate", "--orders", "2", "--runs", "2", "--steps", "5"]
+    assert main(argv + ["--seed", "-1", "--out-dir", str(out)]) == 2
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "fmem-sweep"])
 def test_missing_config_file_exits_1(tmp_path, capsys, command):
     missing = tmp_path / "missing.json"
@@ -641,10 +678,6 @@ def _subparser(command):
 class TestExperimentSchema:
     """A field added to ExperimentConfig or TimeGrid without a flag, a JSON
     round trip or a flag that parses like its JSON value fails here."""
-
-    @pytest.fixture(autouse=True)
-    def _no_env_seed(self, monkeypatch):
-        monkeypatch.delenv("HOLDLAB_SEED", raising=False)
 
     def test_samples_cover_every_field(self):
         assert sorted(SAMPLES) == sorted(SCHEMA_KEYS)
@@ -741,6 +774,14 @@ class TestTheoremCheckCommand:
         )
         assert code == 2
 
+    def test_spaced_forcings_match_unspaced(self, tmp_path):
+        outs = []
+        for spec in ["sin:3,cos:2", " sin:3 , cos:2 "]:
+            outs.append(tmp_path / f"t1_{len(outs)}.csv")
+            argv = ["theorem1-check", "--forcings", spec, "--steps", "200"]
+            assert main(argv + ["--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_bad_forcing_value_exits_2(self, tmp_path, capsys):
         code = main(
             ["theorem1-check", "--forcings", "sin:abc", "--out", str(tmp_path / "x")]
@@ -797,26 +838,14 @@ class TestTheoremCheckCommand:
 
 
 class TestEnvSeed:
-    def test_env_seed_used(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOLDLAB_SEED", "321")
-        out = tmp_path / "env"
-        assert (
-            main(
-                [
-                    "generate",
-                    "--orders",
-                    "1",
-                    "--n-train",
-                    "2",
-                    "--runs",
-                    "2",
-                    "--steps",
-                    "50",
-                    "--out-dir",
-                    str(out),
-                ]
-            )
-            == 0
-        )
-        resolved = json.loads((out / "resolved_config.json").read_text())
-        assert resolved["seed"] == 321
+    def test_env_seed_ignored(self, tmp_path, monkeypatch):
+        # The seed comes from the config and its flags alone: a config that
+        # names none runs at seed 0 whatever the shell exports.
+        argv = ["generate", "--orders", "1", "--n-train", "2", "--runs", "2"]
+        argv += ["--steps", "50"]
+        for value in ["321", "abc"]:
+            monkeypatch.setenv("HOLDLAB_SEED", value)
+            out = tmp_path / value
+            assert main(argv + ["--out-dir", str(out)]) == 0
+            resolved = json.loads((out / "resolved_config.json").read_text())
+            assert resolved["seed"] == 0

@@ -6,7 +6,6 @@ import pytest
 
 from holdlab.config import (
     ConfigError,
-    ExperimentConfig,
     config_from_dict,
     load_config,
     parse_dataset,
@@ -94,19 +93,11 @@ class TestConfigFromDict:
         assert cfg.policies()[0][1] == FixedPerSample(seed=5)
         assert cfg.policies()[1][1] == Marginalized()
 
-    def test_env_seed_fallback(self, monkeypatch):
-        monkeypatch.setenv("HOLDLAB_SEED", "777")
-        assert config_from_dict({}).seed == 777
-        assert config_from_dict({"seed": 3}).seed == 3
-        monkeypatch.setenv("HOLDLAB_SEED", "not-an-int")
-        with pytest.raises(ConfigError):
-            config_from_dict({})
-
-    def test_env_seed_is_the_dataclass_default(self, monkeypatch):
-        monkeypatch.setenv("HOLDLAB_SEED", "777")
-        assert ExperimentConfig().seed == 777
-        monkeypatch.setenv("HOLDLAB_SEED", "not-an-int")
-        assert config_from_dict({"seed": 3}).seed == 3
+    @pytest.mark.parametrize("key", ["orders", "n_train"])
+    @pytest.mark.parametrize("value", [[2, 2], "2, 3,2"])
+    def test_repeated_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            config_from_dict({key: value})
 
 
 class TestLoadConfig:
@@ -163,14 +154,15 @@ class TestSvgPlot:
         from holdlab.svgplot import line_chart
 
         with pytest.raises(ValueError):
-            line_chart({"a": []}, tmp_path / "x.svg")
+            line_chart({"a": []}, tmp_path / "x.svg", "t", "x", "y")
 
     def test_log_axes(self, tmp_path):
         from holdlab.svgplot import line_chart
 
         pts = [(10.0**k, 10.0 ** (-k)) for k in range(-2, 4)]
         out = tmp_path / "log.svg"
-        line_chart({"curve": pts}, out, title="t")
+        line_chart({"curve": pts}, out, title="t", x_label="omega", y_label="gain")
         text = out.read_text()
+        assert all(f">{label}</text>" in text for label in ("t", "omega", "gain"))
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
         assert "polyline" in text
