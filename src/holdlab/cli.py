@@ -366,6 +366,15 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, dest=key, metavar=name.upper())
 
 
+def _int_list_flag(text: str) -> list[int]:
+    """``config._int_list`` for a flag.  argparse shows the message of an
+    ArgumentTypeError; of a ValueError it shows only the converter's name."""
+    try:
+        return _int_list(text)
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"bad value {text!r} ({exc})") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holdlab",
@@ -378,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("filter", help="frequency magnitude tables")
-    p.add_argument("--orders", type=_int_list, default=[2, 3, 4])
+    p.add_argument("--orders", type=_int_list_flag, default=[2, 3, 4])
     p.add_argument("--omega-min", type=float, default=1e-2)
     p.add_argument("--omega-max", type=float, default=1e3)
     p.add_argument("--omega-points", type=int, default=200)
@@ -390,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("collapse", help="determinant ratio tables")
-    p.add_argument("--orders", type=_int_list, default=[1, 2, 3, 4])
+    p.add_argument("--orders", type=_int_list_flag, default=[1, 2, 3, 4])
     p.add_argument("--t-min", type=float, default=1e-3)
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--t-points", type=int, default=100)
@@ -408,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fmem_sweep)
 
     p = sub.add_parser("theorem1-check", help="convolution equivalence report")
-    p.add_argument("--orders", type=_int_list, default=[2, 3, 4])
+    p.add_argument("--orders", type=_int_list_flag, default=[2, 3, 4])
     p.add_argument(
         "--forcings",
         type=lambda s: [v.strip() for v in s.split(",") if v.strip()],

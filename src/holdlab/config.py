@@ -102,8 +102,8 @@ class _Record:
                 kwargs[key] = self.fields[key](raw)
             except ConfigError:
                 raise
-            except (TypeError, ValueError):
-                raise ConfigError(f"bad value for {key}: {raw!r}") from None
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
         try:
             return self.cls(**kwargs)
         except (TypeError, ValueError) as exc:

@@ -116,6 +116,17 @@ def kron_apply(mat: np.ndarray, data: np.ndarray, block_dim: int) -> np.ndarray:
     return out.reshape(*out.shape[:-2], n * block_dim)
 
 
+def _block_apply(mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(mat x I_h) @ cols for (n*h, B) columns, as one (n, n) @ (n, h*B) GEMM.
+
+    Column b is one lifted state; C-contiguous columns reshape without a
+    copy.  At h >= 2 ``kron_apply`` on the rows makes one small GEMM per row,
+    and OpenBLAS rounds both alike; at h = 1 it takes the matrix-vector
+    route, which can differ in the last bit.
+    """
+    return (mat @ cols.reshape(mat.shape[-1], -1)).reshape(cols.shape)
+
+
 def critically_damped_params(
     n: int, l_inv: float = 1.0, alpha: float = 1.0
 ) -> HoldParams:

@@ -2,7 +2,10 @@
 
 ``pf_ode_endpoints`` integrates a batch of independent runs backward from
 the stationary prior at t_start down to a small positive t_end, with Heun
-steps of the batched core ``_integrate`` over plain (runs, n*h) arrays.
+steps of the batched core ``_integrate``.  The batch is held as (n*h, runs)
+columns: F acts on all runs as one (n, n) @ (n, h*runs) GEMM, and the score
+callback gets the (runs, n*h) transpose, a view, which the score kernel
+whitens without a copy.
 Every order takes the same route; the first-order process is
 ``HoldParams(order=1, gammas=(), xi=..., l_inv=...)``, the n = 1 case of
 the same drift.  Run i draws its start from its own stream (rng_seed, i),
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HoldParams, T_EPS, build_forward_matrix, kron_apply
+from .core import HoldParams, T_EPS, _block_apply, build_forward_matrix
 
 DIVERGENCE_GUARD = 1e6
 
@@ -59,16 +62,17 @@ def sample_prior(params: HoldParams, h: int, rng_seed) -> np.ndarray:
 
 
 def _integrate(drift, times: np.ndarray, state: np.ndarray):
-    """Backward-time Heun integration of a (runs, d) batch over a descending
+    """Backward-time Heun integration of (d, runs) columns over a descending
     grid.
 
-    ``drift(u, t)`` returns du/dt for the whole batch.  A run whose state
+    ``drift(u, t)`` returns du/dt for all the columns.  A run whose state
     goes non-finite or exceeds DIVERGENCE_GUARD is held at its last good
-    state from then on and reported once as (run index, step index).
+    state from then on and reported once as (run index, step index).  While
+    no run has failed, the step skips the freeze.
 
-    Returns (states (runs, d), ok mask (runs,), failures).
+    Returns (states (d, runs), ok mask (runs,), failures).
     """
-    ok = np.ones(len(state), dtype=bool)
+    ok = np.ones(state.shape[1], dtype=bool)
     failures: list[tuple[int, int]] = []
     for k in range(len(times) - 1):
         t0, t1 = float(times[k]), float(times[k + 1])
@@ -76,11 +80,13 @@ def _integrate(drift, times: np.ndarray, state: np.ndarray):
         f0 = drift(state, t0)
         pred = state + dt * f0
         nxt = state + 0.5 * dt * (f0 + drift(pred, t1))
-        # NaN fails the comparison, so it counts as diverged.
-        bad = ~(np.abs(nxt) <= DIVERGENCE_GUARD).all(axis=1)
-        failures.extend((int(i), k) for i in np.flatnonzero(bad & ok))
-        ok &= ~bad
-        state = np.where(ok[:, None], nxt, state)
+        # The max of a column holding NaN is NaN, which fails the comparison.
+        good = np.abs(nxt).max(axis=0) <= DIVERGENCE_GUARD
+        if failures or not good.all():
+            failures.extend((int(i), k) for i in np.flatnonzero(ok & ~good))
+            ok &= good
+            nxt = np.where(ok, nxt, state)
+        state = nxt
     return state, ok, failures
 
 
@@ -102,17 +108,20 @@ def pf_ode_endpoints(
     reported as failures (run index, step index); the returned mask marks
     the runs that finished cleanly.
 
+    ``score_fn`` is called with a (runs, n*h) batch and returns the (runs, h)
+    last-block scores.
+
     Returns (positions (runs, h), ok mask (runs,), failures).
     """
     fmat = build_forward_matrix(params).entries
     gain = params.xi * params.l_inv
 
-    def drift(u, t):
-        out = kron_apply(fmat, u, h)
-        out[..., -h:] -= gain * np.asarray(score_fn(u, t), dtype=float)
+    def drift(cols, t):
+        out = _block_apply(fmat, cols)
+        out[-h:] -= gain * np.asarray(score_fn(cols.T, t), dtype=float).T
         return out
 
     chain = list(rng_seed) if isinstance(rng_seed, (list, tuple)) else [rng_seed]
-    start = np.stack([sample_prior(params, h, chain + [i]) for i in range(runs)])
-    state, ok, failures = _integrate(drift, grid.times(), start)
-    return state[:, :h], ok, failures
+    start = [sample_prior(params, h, chain + [i]) for i in range(runs)]
+    state, ok, failures = _integrate(drift, grid.times(), np.stack(start, axis=1))
+    return np.ascontiguousarray(state[:h].T), ok, failures

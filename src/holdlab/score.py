@@ -9,17 +9,23 @@ whitened centers by direct differences (the expanded Gram form cancels at
 small t, where the whitened centers are huge).  Mixture weights are always
 computed in the log domain with the per-point maximum subtracted; raw
 densities underflow at exactly the separations where memorization happens.
+A log-weight at or below -746 is set to weight 0 without calling exp: exp
+rounds every such value to exactly 0, but through a path several times
+slower than the normal one, and near collapse most entries take it.
 One kernel serves every order: at order 1 (the Ornstein-Uhlenbeck process)
 the mixture covariance is the scalar l_inv (1 - exp(-2 xi t)) and the same
 code gives the first-order empirical score.
 
 The kernel works component-major.  A (B, n*h) batch is whitened into
-contiguous (n*h, B) columns by one (n, n) @ (n, h*B) GEMM; the squared
-distances to the N whitened centers accumulate into an (N, B) array one
-coordinate row at a time, the log-weights are reduced over the component
-axis 0, and the mean sum_k w_k c~_k is one (n*h, N) @ (N, B) GEMM, mapped
-back through L^{-T} by the same block GEMM.  Results keep the row-major
-shapes: (B, n*h) scores, (B, N) responsibilities.
+contiguous (n*h, B) columns by one (n, n) @ (n, h*B) GEMM (no copy when
+the batch is the transpose of C-contiguous columns, as the sampler passes
+it); the squared distances to the N whitened centers accumulate into an
+(N, B) array one coordinate row at a time, the log-weights are reduced over
+the component axis 0, and the mean sum_k w_k c~_k is one (n*h, N) @ (N, B)
+GEMM, mapped back through L^{-T} by the same block GEMM.  At one shared
+time the centers and whitened centers are built as (n*h, N) columns by the
+same block GEMM and held as their (N, n*h) transposes.  Results keep the
+row-major shapes: (B, n*h) scores, (B, N) responsibilities.
 
 A mixture built at a (B,) array of times, one per row of a (B, n*h) batch,
 carries a leading B axis on its factors and whitened centers, and the same
@@ -37,12 +43,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HoldParams, T_EPS, kron_apply
+from .core import HoldParams, T_EPS, _block_apply, kron_apply
 from .forward import AuxPolicy, BlockCovariance, Schedule, lift_data, schedule
 
 # Samples per batched step of mc_loss: bounds the (B, N, n*h) whitened
 # centers built per step (peak memory); larger blocks run no faster.
 _MC_BLOCK = 256
+
+# exp(x) rounds to exactly 0 for every x below about -745.13 (half the
+# smallest subnormal); at or below this bound a weight is 0 without exp.
+_EXP_ZERO = -746.0
 
 
 @dataclass
@@ -120,14 +130,19 @@ def _mixture(
         raise ValueError("dataset is empty")
     h, inv = dataset.h, sched.chol_inv[k]
     lifted = dataset.lifted(params, policy)
-    centers = kron_apply(sched.expm[k][..., None, :, :], lifted, h)
+    if isinstance(k, slice):
+        centers = kron_apply(sched.expm[k][:, None], lifted, h)
+        white = kron_apply(inv[:, None], centers, h)
+    else:
+        cols = _block_apply(sched.expm[k], lifted.T)
+        centers, white = cols.T, _block_apply(inv, cols).T
     return EmpiricalMixture(
         order=params.order,
         block_dim=h,
         centers=centers,
         chol=sched.chol[k],
         chol_inv=inv,
-        white_centers=kron_apply(inv[..., None, :, :], centers, h),
+        white_centers=white,
     )
 
 
@@ -141,11 +156,6 @@ def _as_batch(mix: EmpiricalMixture, u) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-def _block_apply(mat: np.ndarray, cols: np.ndarray, h: int) -> np.ndarray:
-    """(mat x I_h) @ cols for (n*h, B) columns, as one (n, n) @ (n, h*B) GEMM."""
-    return (mat @ cols.reshape(mat.shape[-1], -1)).reshape(cols.shape)
-
-
 def _log_weights(mix: EmpiricalMixture, u):
     """(y, lw, m, single): the whitened batch as (n*h, B) columns, and the
     (N, B) log-weights less their column maxima m.
@@ -156,7 +166,7 @@ def _log_weights(mix: EmpiricalMixture, u):
     batch, single = _as_batch(mix, u)
     white = mix.white_centers
     if white.ndim == 2:
-        y = _block_apply(mix.chol_inv, batch.T, mix.block_dim)
+        y = _block_apply(mix.chol_inv, batch.T)
         rows = white.T[:, :, None]
     else:
         y = kron_apply(mix.chol_inv, batch, mix.block_dim).T
@@ -174,7 +184,13 @@ def _log_weights(mix: EmpiricalMixture, u):
 
 
 def _weights(lw: np.ndarray) -> np.ndarray:
-    w = np.exp(lw)
+    """Normalized exp(lw) over axis 0, equal to plain exp bit for bit.
+
+    exp runs only where lw is above _EXP_ZERO, or NaN; the other entries
+    keep the 0 that exp would round them to.
+    """
+    w = np.zeros(lw.shape)
+    np.exp(lw, out=w, where=~(lw <= _EXP_ZERO))
     w /= w.sum(axis=0)
     return w
 
@@ -204,7 +220,7 @@ def score_full(mix: EmpiricalMixture, u) -> np.ndarray:
     w = _weights(lw)
     white, inv_t, h = mix.white_centers, mix.chol_inv.swapaxes(-1, -2), mix.block_dim
     if white.ndim == 2:  # a shared time: two GEMMs on the columns
-        out = _block_apply(inv_t, white.T @ w - y, h).T
+        out = _block_apply(inv_t, white.T @ w - y).T
     else:
         mean = (w.T[:, None, :] @ white)[:, 0]
         out = kron_apply(inv_t, mean - y.T, h)

@@ -18,7 +18,7 @@ from holdlab import (
     forced_ode_positions,
     training_points,
 )
-from holdlab import config, forward
+from holdlab import cli, forward
 from holdlab import score as score_module
 from holdlab.cli import _cells, _config_from_args, _forcing_values, build_parser, main
 from holdlab.config import ConfigError, ExperimentConfig, config_from_dict, load_config
@@ -578,12 +578,16 @@ def test_non_finite_csv_exits_2_before_writing(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["filter", "collapse", "theorem1-check"])
 def test_orders_flags_parse_with_the_config_converter(capsys, command):
+    # _int_list_flag hands argparse config._int_list's reason, not its name;
+    # the repeated-value test below shows the same for config's own check.
     action = next(a for a in _subparser(command)._actions if a.dest == "orders")
-    assert action.type is config._int_list
+    assert action.type is cli._int_list_flag
     with pytest.raises(SystemExit) as exc:
         main([command, "--orders", "x"])
     assert exc.value.code == 2
-    assert "invalid _int_list value: 'x'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "argument --orders: bad value 'x' (invalid literal for int()" in err
+    assert "_int_list" not in err
 
 
 def _exit_code(argv):
@@ -611,7 +615,9 @@ def test_repeated_value_exits_2_before_writing(tmp_path, capsys, argv):
     argv = [arg.replace("{out}", str(out)) for arg in argv]
     repeated = next(arg for arg in argv if arg in ("2,2", "3,3"))
     assert _exit_code(argv) == 2
-    assert f"'{repeated}'" in capsys.readouterr().err
+    value = repeated.split(",")[0]
+    reason = f"'{repeated}' (repeated value in [{value}, {value}])"
+    assert reason in capsys.readouterr().err
     assert not out.exists()
 
 

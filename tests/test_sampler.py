@@ -10,6 +10,7 @@ from holdlab import (
     Dataset,
     FixedPerSample,
     HoldParams,
+    Marginalized,
     TimeGrid,
     build_forward_matrix,
     critically_damped_params,
@@ -19,8 +20,10 @@ from holdlab import (
     pf_ode_endpoints,
     sample_prior,
 )
-from holdlab import sampler
-from holdlab.core import expm_at
+from holdlab import cli, sampler
+from holdlab.core import _order_params, expm_at
+from holdlab.datasets import GaussianMixtureSpec, training_points
+from holdlab.forward import schedule
 
 
 def zero_score(h):
@@ -33,14 +36,14 @@ def zero_score(h):
 
 def flow_state(params, grid, rng_seed):
     """Full lifted endpoint of one zero-score flow run (drift F u) started
-    from the prior draw of ``rng_seed``."""
+    from the prior draw of ``rng_seed``, integrated as one (n, 1) column."""
     fmat = build_forward_matrix(params).entries
-    start = sample_prior(params, 1, rng_seed)[None]
+    start = sample_prior(params, 1, rng_seed)[:, None]
     state, ok, failures = sampler._integrate(
-        lambda u, t: kron_apply(fmat, u, 1), grid.times(), start
+        lambda u, t: fmat @ u, grid.times(), start
     )
     assert ok.all() and not failures
-    return state[0]
+    return state[:, 0]
 
 
 def heun_single_run(params, score_fn, grid, rng_seed, h):
@@ -62,6 +65,38 @@ def heun_single_run(params, score_fn, grid, rng_seed, h):
         pred = y + dt * f0
         y = y + 0.5 * dt * (f0 + drift(pred, t1))
     return y
+
+
+def rowmajor_endpoints(params, score_fn, grid, rng_seed, h, runs):
+    """Reference: the row-major Heun that the column layout replaced.
+
+    The batch is a (runs, n*h) array, F is applied per run by ``kron_apply``,
+    and the freeze runs on every step.
+    """
+    fmat = build_forward_matrix(params).entries
+    gain = params.xi * params.l_inv
+
+    def drift(u, t):
+        out = kron_apply(fmat, u, h)
+        out[..., -h:] -= gain * np.asarray(score_fn(u, t), dtype=float)
+        return out
+
+    chain = list(rng_seed) if isinstance(rng_seed, (list, tuple)) else [rng_seed]
+    state = np.stack([sample_prior(params, h, chain + [i]) for i in range(runs)])
+    ok = np.ones(runs, dtype=bool)
+    failures = []
+    times = grid.times()
+    for k in range(len(times) - 1):
+        t0, t1 = float(times[k]), float(times[k + 1])
+        dt = t1 - t0
+        f0 = drift(state, t0)
+        pred = state + dt * f0
+        nxt = state + 0.5 * dt * (f0 + drift(pred, t1))
+        bad = ~(np.abs(nxt) <= sampler.DIVERGENCE_GUARD).all(axis=1)
+        failures.extend((int(i), k) for i in np.flatnonzero(bad & ok))
+        ok &= ~bad
+        state = np.where(ok[:, None], nxt, state)
+    return state[:, :h], ok, failures
 
 
 def ou_score(x, dataset: Dataset, xi: float, l_inv: float, t: float) -> np.ndarray:
@@ -320,3 +355,93 @@ class TestBatchEndpoints:
             )
             fractions.append(fmem(ends[ok], pts).fraction)
         assert fractions[0] >= fractions[1] >= fractions[2]
+
+
+class TestColumnLayout:
+    """``pf_ode_endpoints`` keeps its batch as (n*h, runs) columns; it must
+    return what the row-major Heun it replaced returns, bit for bit.
+
+    F as one GEMM rounds like the per-run GEMMs of ``kron_apply`` when
+    h >= 2.  At h = 1 ``kron_apply`` goes through BLAS's matrix-vector
+    routine, which rounds differently; there the endpoints agree to 1e-13
+    relative (measured at most 4.3e-15 over 250 steps).
+    """
+
+    @staticmethod
+    def setup_case(order, policy, spacing, dim):
+        params = _order_params(order, 1.0, 1.0, 1.0)
+        spec = GaussianMixtureSpec(k=8 if dim > 1 else 3, spread=6.0, dim=dim)
+        ds = Dataset(training_points(spec, 8, 0))
+        s0 = initial_covariance(params, policy)
+        grid = TimeGrid(t_end=1e-3, steps=60, spacing=spacing)
+        score_fn = empirical_score_fn(
+            ds, params, s0, policy, schedule=schedule(params, s0, grid.times())
+        )
+        return params, score_fn, grid
+
+    @pytest.mark.parametrize("spacing", ["uniform", "quadratic"])
+    @pytest.mark.parametrize(
+        "policy", [FixedPerSample(seed=2), Marginalized()], ids=["fixed", "marg"]
+    )
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_matches_rowmajor_heun(self, order, policy, spacing):
+        params, base, grid = self.setup_case(order, policy, spacing, dim=2)
+        batches = []
+
+        def fn(u, t):
+            batches.append(np.shape(u))
+            return base(u, t)
+
+        runs, seed = 24, [3, order]
+        got = pf_ode_endpoints(params, fn, grid, rng_seed=seed, h=2, runs=runs)
+        want = rowmajor_endpoints(params, base, grid, seed, 2, runs)
+        assert set(batches) == {(runs, 2 * order)}
+        assert got[0].shape == (runs, 2) and got[0].flags.c_contiguous
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_h1_agrees_to_rounding(self, order):
+        params, fn, grid = self.setup_case(order, FixedPerSample(seed=2), "uniform", 1)
+        got = pf_ode_endpoints(params, fn, grid, rng_seed=[4], h=1, runs=24)
+        want = rowmajor_endpoints(params, fn, grid, [4], 1, 24)
+        assert np.abs(got[0] - want[0]).max() <= 1e-13 * np.abs(want[0]).max()
+        assert np.array_equal(got[1], want[1]) and got[2] == want[2]
+
+    def test_failed_run_stays_frozen_when_later_steps_are_good(self):
+        # Run 0 gets a NaN score on one step only: its later steps from the
+        # frozen state are finite, and it must stay frozen all the same.
+        params = critically_damped_params(2)
+
+        def nan_once(u, t):
+            out = np.zeros(np.shape(u)[:-1] + (2,))
+            if 0.5 < t < 0.5015:
+                out[0] = np.nan
+            return out
+
+        grid = TimeGrid(steps=1000)
+        got = pf_ode_endpoints(params, nan_once, grid, rng_seed=3, h=2, runs=3)
+        want = rowmajor_endpoints(params, nan_once, grid, 3, 2, 3)
+        assert got[2] == want[2] and [run for run, _ in got[2]] == [0]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_diverging_generate_matches_rowmajor(self, tmp_path, monkeypatch):
+        # From t_start = 10 in 40 quadratic steps, half of the runs diverge,
+        # so the freeze and the failure list are compared too.
+        real, cells = cli.pf_ode_endpoints, []
+
+        def both(params, score_fn, grid, *, h, runs, rng_seed):
+            got = real(params, score_fn, grid, h=h, runs=runs, rng_seed=rng_seed)
+            want = rowmajor_endpoints(params, score_fn, grid, rng_seed, h, runs)
+            cells.append((got, want))
+            return got
+
+        monkeypatch.setattr(cli, "pf_ode_endpoints", both)
+        argv = ["generate", "--orders", "2,3", "--spacing", "quadratic"]
+        argv += ["--t-start", "10", "--steps", "40", "--runs", "128"]
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 3
+        assert len(cells) == 2
+        assert sum(len(got[2]) for got, _ in cells) == 128
+        for got, want in cells:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert got[2] == want[2]

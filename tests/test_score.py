@@ -706,3 +706,49 @@ class TestScheduledMixture:
         fallback = empirical_score_fn(ds, params, s0, pol)
         want, *_ = pf_ode_endpoints(params, fallback, grid, rng_seed=5, h=2, runs=6)
         assert np.array_equal(got, want)
+
+
+def plain_weights(lw):
+    """Normalized exp over axis 0, exp applied to every entry."""
+    w = np.exp(lw)
+    return w / w.sum(axis=0)
+
+
+class TestWeightsSkipUnderflow:
+    """``_weights`` does not call exp at or below -746, where exp rounds to
+    exactly 0; the weights must equal plain exp normalisation bit for bit."""
+
+    def test_equals_plain_exp_on_synthetic_log_weights(self):
+        rng = np.random.default_rng(16)
+        shape = (64, 48)
+        span = -np.exp(rng.uniform(math.log(1e-3), math.log(1e6), shape))
+        band = -rng.uniform(700.0, 750.0, shape)  # the subnormal band and past it
+        lw = np.where(rng.random(shape) < 0.5, span, band)
+        lw[:, :8] = -rng.uniform(746.0, 1e6, (64, 8))  # all 0 but the max
+        # Column 8 sums to 1, so exp(-745.13) = 5e-324 survives normalisation.
+        edges = [-708.0, -745.13, -745.14, np.nextafter(-746.0, 0.0), -746.0, -np.inf]
+        lw[1:, 8] = -1e3
+        lw[1 : 1 + len(edges), 8] = edges
+        lw[7, 9] = np.nan
+        lw[0] = 0.0  # each column's maximum, as _log_weights leaves it
+        want = plain_weights(lw)
+        tiny = np.finfo(float).tiny
+        assert ((want > 0) & (want < tiny)).sum() >= 10  # subnormal weights
+        assert (lw <= -746).mean() > 0.3
+        got = score_module._weights(lw)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.all(got[0, :8] == 1) and np.all(got[1:, :8] == 0)
+        assert got[2, 8] == 5e-324 and got[3, 8] == 0
+        assert np.isnan(got[:, 9]).all() and not np.isnan(np.delete(got, 9, 1)).any()
+
+    def test_stacked_times_path(self):
+        ds, params, s0, pol = criterion07_setup(3)
+        rng = np.random.default_rng(17)
+        times = rng.uniform(T_EPS, 2e-2, 32)
+        mix = mixture_at(ds, params, s0, pol, times)
+        pick = rng.integers(ds.n_train, size=32)
+        u = mix.centers[np.arange(32), pick]
+        u = u + kron_apply(mix.chol, rng.standard_normal((32, 6)), 2)
+        _, lw, _, _ = score_module._log_weights(mix, u)
+        assert (lw <= -746).mean() > 0.5
+        assert np.array_equal(responsibilities(mix, u), plain_weights(lw).T)
