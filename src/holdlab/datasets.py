@@ -20,6 +20,12 @@ _CENTER_STREAM = 17
 _TRAIN_STREAM = 29
 _HELDOUT_STREAM = 43
 
+# Center draws tried before a spec is rejected.  The default spec (k = 8,
+# spread 6, dim 2) accepts about 1.5e-3 of its draws (at most 4512 draws
+# over seeds 0-1999), so a seed needs more than this with probability about
+# e^-77; k = 8 at spread 6, dim 1 accepts none of 4e5 draws.
+_MAX_CENTER_DRAWS = 50_000
+
 
 @dataclass(frozen=True)
 class GaussianMixtureSpec:
@@ -76,9 +82,10 @@ DatasetSpec = GaussianMixtureSpec | RingSpec | GridSpec | CsvFileSpec
 @lru_cache(maxsize=64)
 def _mixture_centers(spec: GaussianMixtureSpec, seed: int) -> np.ndarray:
     """The (k, dim) cluster centers, read-only: the rejection loop runs once
-    per (spec, seed), not once per training or held-out draw."""
+    per (spec, seed), not once per training or held-out draw.  A spec whose
+    first _MAX_CENTER_DRAWS draws are all rejected raises ValueError."""
     rng = np.random.default_rng([seed, _CENTER_STREAM])
-    while True:
+    for _ in range(_MAX_CENTER_DRAWS):
         centers = rng.standard_normal((spec.k, spec.dim)) * spec.spread
         diffs = centers[:, None, :] - centers[None, :, :]
         dists = np.sqrt((diffs**2).sum(axis=2))
@@ -86,6 +93,11 @@ def _mixture_centers(spec: GaussianMixtureSpec, seed: int) -> np.ndarray:
         if dists.min() >= spec.spread:
             centers.flags.writeable = False
             return centers
+    raise ValueError(
+        f"gaussian_mixture k={spec.k}, spread={spec.spread:g}, dim={spec.dim}: "
+        f"no {spec.k} centers at least {spec.spread:g} apart in "
+        f"{_MAX_CENTER_DRAWS} draws; lower k or spread, or raise dim"
+    )
 
 
 def _draw(spec: DatasetSpec, n: int, seed: int, stream: int) -> np.ndarray:

@@ -428,15 +428,20 @@ def test_criterion_11_cli_determinism(tmp_path):
         "--seed",
         "11",
     ]
+    # Marginalized mixtures of order >= 2 take the kernel's axis path.
+    marg = ["--orders", "2,3", "--aux-policy", "marginalized"]
+    runs = (
+        ("gen", gen_args, ["endpoints_1.csv", "endpoints_2.csv", "failures.csv"]),
+        ("sweep", sweep_args, ["sweep.csv", "failures.csv"]),
+        ("gen_marg", gen_args + marg, ["endpoints_2.csv", "endpoints_3.csv", "failures.csv"]),
+        ("sweep_marg", sweep_args + marg, ["sweep.csv", "failures.csv"]),
+    )
     codes = []
-    for name, args in (("gen", gen_args), ("sweep", sweep_args)):
+    for name, args, _ in runs:
         for rep in ("a", "b"):
             codes.append(main(args + ["--out-dir", str(tmp_path / f"{name}_{rep}")]))
     identical = True
-    for name, files in (
-        ("gen", ["endpoints_1.csv", "endpoints_2.csv", "failures.csv"]),
-        ("sweep", ["sweep.csv", "failures.csv"]),
-    ):
+    for name, _, files in runs:
         for fname in files:
             a = (tmp_path / f"{name}_a" / fname).read_bytes()
             b = (tmp_path / f"{name}_b" / fname).read_bytes()

@@ -563,6 +563,18 @@ def test_non_finite_parameter_exits_2_before_writing(
     assert not out.exists()
 
 
+def test_unreachable_mixture_spec_exits_2_before_writing(tmp_path, capsys):
+    # Eight centers at least 6 apart on a line from 6 N(0, 1) draws: the
+    # rejection loop gives up at its cap instead of hanging.
+    out = tmp_path / "out"
+    argv = ["fmem-sweep", "--orders", "1,2,3,4", "--steps", "250"]
+    argv += ["--aux-policy", "both", "--dataset", "gaussian_mixture:k=8,spread=6,dim=1"]
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "k=8, spread=6, dim=1" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "fmem-sweep"])
 def test_non_finite_csv_exits_2_before_writing(tmp_path, capsys, command):
     data = tmp_path / "points.csv"

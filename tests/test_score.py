@@ -515,6 +515,28 @@ class TestKernelOracle:
         assert np.array_equal(responsibilities(mix, u), np.eye(8))
         assert np.abs(-2.0 * log_density_shifted(mix, u) - nearest).max() <= 1e-5
 
+    @pytest.mark.parametrize("n, bound", [(3, 1e-5), (4, 1e-3)])
+    def test_nearest_center_distance_on_the_axis(self, n, bound):
+        # The Marginalized twin: distances are taken along the axis a, and
+        # -|y_perp|^2 / 2 comes back from the direct residual y - a x z.
+        # |a|^2 is 2.4e14 at order 3 and 1.4e20 at order 4, where one
+        # float64 difference of whitened coordinates near 1e11 errs by about
+        # 1e-5: the direct kernel misses the per-pair reference there by
+        # 1.5e-4 and this one by 1.8e-4 (both within 1e-4 of a 60-digit
+        # mpmath value), so order 4 takes the wider bound.
+        params = critically_damped_params(n)
+        pol = Marginalized()
+        ds = Dataset(training_points(GaussianMixtureSpec(k=8, spread=6.0), 8, 7))
+        mix = mixture_at(ds, params, initial_covariance(params, pol), pol, 1e-3)
+        assert mix.axis is not None
+        rng = np.random.default_rng(0)
+        u = mix.centers + kron_apply(mix.chol, rng.standard_normal((8, 2 * n)), 2)
+        sq_ref, *_ = reference_kernel(mix, u)
+        nearest = sq_ref.min(axis=1)
+        assert np.all(nearest < 20.0)
+        assert np.array_equal(responsibilities(mix, u), np.eye(8))
+        assert np.abs(-2.0 * log_density_shifted(mix, u) - nearest).max() <= bound
+
 
 class TestScoreMemo:
     def _setup(self):
@@ -647,6 +669,117 @@ class TestComponentMajorKernel:
             assert np.array_equal(w, w_ref)
 
 
+def direct_kernel(mix, batch):
+    """The kernel over all n*h whitened coordinates, as it was before the
+    axis path: (score, responsibilities, log p, scale, kappa).
+
+    scale_b = |L^{-T} mean_b| + |L^{-T} y_b|, the two terms whose difference
+    is the score, before they cancel.  kappa_b = eps (1 + |y_b|)(1 + d_b), with y_b the whitened probe and d_b
+    its whitened distance to the nearest center, is the rounding scale of
+    the direct differences y_b - c~_k that both kernels take.
+    """
+    h, white = mix.block_dim, mix.white_centers
+    if white.ndim == 2:
+        y = score_module._block_apply(mix.chol_inv, batch.T)
+        rows = white.T[:, :, None]
+    else:
+        y = kron_apply(mix.chol_inv, batch, h).T
+        rows = white.transpose(2, 1, 0)
+    sq = np.zeros((white.shape[-2], len(batch)))
+    diff = np.empty_like(sq)
+    for y_row, c_row in zip(y, rows):
+        np.subtract(y_row, c_row, out=diff)
+        diff *= diff
+        sq += diff
+    lw = -0.5 * sq
+    m = lw.max(axis=0)
+    lw -= m
+    w = score_module._weights(lw)
+    logp = m + np.log(np.exp(lw).sum(axis=0))
+    inv_t = mix.chol_inv.swapaxes(-1, -2)
+    if white.ndim == 2:
+        mean = white.T @ w
+        score = score_module._block_apply(inv_t, mean - y).T
+        mean = mean.T
+    else:
+        mean = (w.T[:, None, :] @ white)[:, 0]
+        score = kron_apply(inv_t, mean - y.T, h)
+    scale = np.linalg.norm(kron_apply(inv_t, mean, h), axis=1) + np.linalg.norm(
+        kron_apply(inv_t, np.ascontiguousarray(y.T), h), axis=1
+    )
+    eps = np.finfo(float).eps
+    kappa = eps * (1.0 + np.linalg.norm(y, axis=0)) * (1.0 + np.sqrt(-2.0 * m))
+    return score, w.T, logp, scale, kappa
+
+
+class TestAxisKernel:
+    """Marginalized mixtures (order >= 2) measure distances in the h data
+    dimensions; the result must match the direct kernel over all n*h.
+
+    Both kernels round differences of whitened coordinates of size |y|, so
+    they can differ by a multiple of kappa (see ``direct_kernel``), per
+    probe: in the score relative to scale, in the weights and in log p.
+    Measured over the grid below: at most 5.0 kappa in the score, 3.0 in
+    the weights and 20.3 in log p, so the bound is 64 kappa.  kappa is below 1e-11 wherever t >= 1 and on the
+    probes next to a center; between two centers at t <= 1e-2 it passes 1
+    and the weights are decided by rounding, in both kernels alike.
+    """
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "stacked"])
+    @pytest.mark.parametrize("h", [1, 2, 16])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_direct_kernel(self, n, h, shared):
+        params, pol = critically_damped_params(n), Marginalized()
+        s0 = initial_covariance(params, pol)
+        batch = 32
+        for n_train in (1, 8, 256):
+            rng = np.random.default_rng([n, h, n_train])
+            ds = Dataset(3.0 * rng.standard_normal((n_train, h)))
+            for t in (10.0, 1.0, 1e-2, 1e-3):
+                pick = rng.integers(n_train, size=(2, batch))
+                if shared:
+                    mix = mixture_at(ds, params, s0, pol, t)
+                    ends = mix.centers[pick]
+                else:
+                    times = t * rng.uniform(0.5, 2.0, size=batch)
+                    mix = mixture_at(ds, params, s0, pol, times)
+                    ends = mix.centers[np.arange(batch), pick]
+                assert mix.axis.shape == ((n,) if shared else (batch, n))
+                eps = rng.standard_normal((batch, n * h))
+                near = ends[0] + kron_apply(mix.chol, eps, h)
+                for u in (near, 0.5 * (ends[0] + ends[1])):
+                    score_ref, w_ref, logp_ref, scale, kappa = direct_kernel(mix, u)
+                    bound = 64.0 * kappa
+                    err = np.linalg.norm(score_full(mix, u) - score_ref, axis=1)
+                    assert np.all(err <= bound * scale)
+                    w = responsibilities(mix, u)
+                    assert np.all(np.abs(w - w_ref).max(axis=1) <= bound)
+                    assert np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+                    logp = log_density_shifted(mix, u)
+                    assert np.all(np.abs(logp - logp_ref) <= bound)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "stacked"])
+    @pytest.mark.parametrize(
+        "n, policy",
+        [(1, Marginalized()), (1, FixedPerSample(seed=3))]
+        + [(n, FixedPerSample(seed=3)) for n in (2, 3, 4)],
+    )
+    def test_other_mixtures_keep_the_direct_kernel(self, n, policy, shared):
+        params = ou_params() if n == 1 else critically_damped_params(n)
+        s0 = initial_covariance(params, policy)
+        rng = np.random.default_rng(n)
+        ds = Dataset(3.0 * rng.standard_normal((8, 2)))
+        for t in (1.0, 1e-3):
+            times = t if shared else t * rng.uniform(0.5, 2.0, size=16)
+            mix = mixture_at(ds, params, s0, policy, times)
+            assert mix.axis is None and mix.points is None
+            u = rng.standard_normal((16, 2 * n))
+            score_ref, w_ref, logp_ref, *_ = direct_kernel(mix, u)
+            assert np.array_equal(score_full(mix, u), score_ref)
+            assert np.array_equal(responsibilities(mix, u), w_ref)
+            assert np.array_equal(log_density_shifted(mix, u), logp_ref)
+
+
 def scalar_pieces(ds, params, s0, pol, t):
     """A single-time mixture's fields as built before schedules (scalar
     ``expm_at``, ``cholesky_block`` and inverse), then Sigma_t and the floor."""
@@ -683,7 +816,8 @@ class TestScheduledMixture:
     def test_mixture_holds_only_what_the_kernel_reads(self):
         names = [f.name for f in dataclasses.fields(EmpiricalMixture)]
         assert names == [
-            "order", "block_dim", "centers", "chol", "chol_inv", "white_centers"
+            "order", "block_dim", "points", "centers", "chol", "chol_inv",
+            "white_centers", "axis",
         ]
         mix, *_ = make_mixture(n=2, h=1, t=0.5)
         for gone in ("cov", "t", "chol_shift"):
