@@ -674,9 +674,10 @@ def direct_kernel(mix, batch):
     axis path: (score, responsibilities, log p, scale, kappa).
 
     scale_b = |L^{-T} mean_b| + |L^{-T} y_b|, the two terms whose difference
-    is the score, before they cancel.  kappa_b = eps (1 + |y_b|)(1 + d_b), with y_b the whitened probe and d_b
-    its whitened distance to the nearest center, is the rounding scale of
-    the direct differences y_b - c~_k that both kernels take.
+    is the score, before they cancel.  kappa_b = eps (1 + |y_b|)(1 + d_b),
+    with y_b the whitened probe and d_b its whitened distance to the nearest
+    center, is the rounding scale of the direct differences y_b - c~_k that
+    both kernels take.
     """
     h, white = mix.block_dim, mix.white_centers
     if white.ndim == 2:
@@ -720,9 +721,10 @@ class TestAxisKernel:
     they can differ by a multiple of kappa (see ``direct_kernel``), per
     probe: in the score relative to scale, in the weights and in log p.
     Measured over the grid below: at most 5.0 kappa in the score, 3.0 in
-    the weights and 20.3 in log p, so the bound is 64 kappa.  kappa is below 1e-11 wherever t >= 1 and on the
-    probes next to a center; between two centers at t <= 1e-2 it passes 1
-    and the weights are decided by rounding, in both kernels alike.
+    the weights and 20.3 in log p, so the bound is 64 kappa.  kappa is
+    below 1e-11 wherever t >= 1, and below 1.1e-2 on the probes next to a
+    center; between two centers at t <= 1e-2 it passes 1 and the weights
+    are decided by rounding, in both kernels alike.
     """
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "stacked"])
