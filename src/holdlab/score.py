@@ -16,35 +16,38 @@ One kernel serves every order: at order 1 (the Ornstein-Uhlenbeck process)
 the mixture covariance is the scalar l_inv (1 - exp(-2 xi t)) and the same
 code gives the first-order empirical score.
 
-Under the ``Marginalized`` policy (order n >= 2) every lifted center is
-e_0 x x_k, so every whitened center is a x x_k on one axis
-a = L_t^{-1} exp(Ft) e_0.  Then |y - a x x_k|^2 = |y_perp|^2 +
-|a|^2 |z - x_k|^2 with z = (a^T x I_h) y / |a|^2, and |y_perp|^2 does not
-depend on k: the distances are taken over the h rows of z against the data
-points, and the whitened mean is a x (sum_k w_k x_k).  ``log_density_shifted``
-adds -|y_perp|^2 / 2 back, from the direct residual y - a x z.
+The policy is decided once, by the mixture builder.  A mixture holds an
+n x n whitening matrix W with W^T W = (L L^T)^{-1} and its whitened
+centers, which cover the first r of the n*h whitened coordinates and are
+0 beyond them; the kernel compares the first r rows of y = (W x I_h) u
+with the centers, and the rows beyond them enter only log p.  Mixtures
+take W = L^{-1} and r = n*h, except under the marginalized policy at
+order n >= 2: there every lifted center is e_0 x x_k, every whitened
+center lies on one axis a = L^{-1} exp(Ft) e_0, and W = Q L^{-1} with the
+Householder reflection Q that maps a onto e_0, so r = h and the distances
+are measured in the h data dimensions.
 
 The kernel works component-major.  A (B, n*h) batch is whitened into
 contiguous (n*h, B) columns by one (n, n) @ (n, h*B) GEMM (no copy when
 the batch is the transpose of C-contiguous columns, as the sampler passes
 it); the squared distances to the N whitened centers accumulate into an
-(N, B) array one coordinate row at a time (one row of z per data
-coordinate on the axis path), the log-weights are reduced over the
-component axis 0, and the mean sum_k w_k c~_k is one (n*h, N) @ (N, B)
-GEMM (an (h, N) @ (N, B) one on the axis path), mapped back through L^{-T}
-by the same block GEMM.  At one shared time the centers and whitened
-centers are built as (n*h, N) columns by the same block GEMM and held as
-their (N, n*h) transposes.  Results keep the
-row-major shapes: (B, n*h) scores, (B, N) responsibilities.
+(N, B) array one coordinate row at a time, the log-weights are reduced
+over the component axis 0, and the mean sum_k w_k c~_k is one
+(r, N) @ (N, B) GEMM, subtracted from the first r rows of y and mapped
+back through W^T by the same block GEMM.  Unreflected centers are built as
+(n*h, N) columns by the same block GEMM and held as their (N, n*h)
+transposes.  Results keep the row-major shapes: (B, n*h) scores, (B, N)
+responsibilities.
 
 A mixture built at a (B,) array of times, one per row of a (B, n*h) batch,
-carries a leading B axis on its factors, whitened centers and axis, and the
-same kernel broadcasts over it.  The n x n pieces of a mixture come from a
-``forward.schedule``; ``empirical_score_fn`` takes the schedule of a whole
-time grid, so a sampler factors its grid once.  Score callbacks are
-``score_fn(u, t)`` -> (B, h) last-block scores for u of shape (B, n*h),
-with t a float (the samplers) or a (B,) array (``mc_loss``); a single
-(n*h,) point gives (h,).  Points are plain arrays throughout.
+carries a leading B axis on its whitening matrices and whitened centers,
+and the same kernel broadcasts over it.  The n x n pieces of a mixture
+come from a ``forward.schedule``; ``empirical_score_fn`` takes the
+schedule of a whole time grid, so a sampler factors its grid once.  Score
+callbacks are ``score_fn(u, t)`` -> (B, h) last-block scores for u of
+shape (B, n*h), with t a float (the samplers) or a (B,) array
+(``mc_loss``); a single (n*h,) point gives (h,).  Points are plain arrays
+throughout.
 """
 
 from __future__ import annotations
@@ -108,29 +111,24 @@ class Dataset:
 
 @dataclass(frozen=True)
 class EmpiricalMixture:
-    """Equal-weight Gaussian mixture: N centers sharing one block covariance,
-    held as its factor ``chol`` (``chol @ chol^T`` = Sigma_t + delta I of the
-    schedule) and ``chol_inv``.  Built at (B,) times, all fields from
-    ``centers`` on carry a leading B axis.
+    """Equal-weight Gaussian mixture: N centers sharing one block covariance
+    Sigma = L L^T (Sigma_t + delta I of the schedule), held whitened.
 
-    When every lifted center is e_0 x x_k (``Marginalized``, order >= 2),
-    ``points`` holds the (N, h) x_k and ``axis`` the n-vector
-    a = chol_inv exp(Ft) e_0, so that white center k is a x x_k; the kernel
-    then measures distances in the h data dimensions.  Otherwise both are
-    None."""
+    ``whiten`` is an n x n matrix W with W^T W = Sigma^{-1}, and
+    ``white_centers`` holds the first r coordinates of the whitened centers
+    (W x I_h) c_k, which are 0 beyond them.  W = L^{-1} and r = n*h, except
+    for a marginalized mixture of order >= 2, where W also reflects the axis
+    of the centers onto e_0 and r = h (see ``_mixture``).  Built at (B,)
+    times, both fields carry a leading B axis."""
 
     order: int
     block_dim: int
-    points: np.ndarray | None
-    centers: np.ndarray
-    chol: np.ndarray
-    chol_inv: np.ndarray
+    whiten: np.ndarray
     white_centers: np.ndarray
-    axis: np.ndarray | None
 
     @property
     def n_components(self) -> int:
-        return self.centers.shape[-2]
+        return self.white_centers.shape[-2]
 
 
 def mixture_at(
@@ -150,29 +148,33 @@ def _mixture(
     dataset: Dataset, params: HoldParams, policy: AuxPolicy, sched: Schedule, k
 ) -> EmpiricalMixture:
     """The mixture at ``sched.times[k]``: one time for an integer k, the
-    stack for a slice."""
+    stack for a slice.
+
+    Under the marginalized policy at order n >= 2 every lifted center is
+    e_0 x x_k, so every whitened center lies on the axis
+    a = L^{-1} exp(Ft) e_0.  The Householder reflection
+    Q = I - 2 v v^T / v^T v with v = a + s|a| e_0 (s = sign a_0, no
+    cancellation) maps a to -s|a| e_0, so under W = Q L^{-1} the whitened
+    centers are -s|a| x_k in the first h coordinates and 0 in the rest.
+    """
     if dataset.n_train == 0:
         raise ValueError("dataset is empty")
-    h, inv, expm = dataset.h, sched.chol_inv[k], sched.expm[k]
-    lifted = dataset.lifted(params, policy)
-    if isinstance(k, slice):
-        centers = kron_apply(expm[:, None], lifted, h)
-        white = kron_apply(inv[:, None], centers, h)
+    n, inv, expm = params.order, sched.chol_inv[k], sched.expm[k]
+    if isinstance(policy, Marginalized) and n > 1:
+        a = inv @ expm[..., :1]
+        norm = np.sqrt((a * a).sum(axis=-2, keepdims=True))
+        s = np.where(a[..., :1, :] < 0.0, -1.0, 1.0)
+        v = a + s * norm * np.eye(n, 1)
+        vt = v.swapaxes(-1, -2)
+        whiten = (np.eye(n) - 2.0 / (vt @ v) * (v @ vt)) @ inv
+        white = -s * norm * dataset.points
     else:
-        cols = _block_apply(expm, lifted.T)
-        centers, white = cols.T, _block_apply(inv, cols).T
-    points = axis = None
-    if isinstance(policy, Marginalized) and params.order > 1:
-        points, axis = dataset.points, (inv @ expm[..., :1])[..., 0]
+        lifted = dataset.lifted(params, policy)
+        cols = inv @ (expm @ lifted.T.reshape(n, -1))
+        whiten = inv
+        white = cols.reshape(*cols.shape[:-2], *lifted.T.shape).swapaxes(-1, -2)
     return EmpiricalMixture(
-        order=params.order,
-        block_dim=h,
-        points=points,
-        centers=centers,
-        chol=sched.chol[k],
-        chol_inv=inv,
-        white_centers=white,
-        axis=axis,
+        order=n, block_dim=dataset.h, whiten=whiten, white_centers=white
     )
 
 
@@ -186,51 +188,30 @@ def _as_batch(mix: EmpiricalMixture, u) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-def _axis_blocks(mix: EmpiricalMixture) -> np.ndarray:
-    """The mixture's axis as (n, 1, 1), or (n, 1, B) at (B,) times, to
-    broadcast against (n, h, B) blocks of columns."""
-    return mix.axis.T.reshape(mix.order, 1, -1)
-
-
-def _on_axis(mix: EmpiricalMixture, y: np.ndarray):
-    """(a, z, |a|^2) for the whitened (n*h, B) columns y: the axis blocks a,
-    z = (a^T x I_h) y / |a|^2 as (h, B) columns, and |a|^2 as (1, 1) or
-    (1, B)."""
-    a = _axis_blocks(mix)
-    sq = (a * a).sum(axis=0)
-    z = (a * y.reshape(mix.order, mix.block_dim, -1)).sum(axis=0) / sq
-    return a, z, sq
-
-
 def _log_weights(mix: EmpiricalMixture, u):
     """(y, lw, m, single): the whitened batch as (n*h, B) columns, and the
     (N, B) log-weights less their column maxima m.
 
     lw[k, b] = -|y_b - c~_k|^2 / 2 - m_b over the whitened centers c~_k,
-    summed one coordinate row at a time.  On the axis path the rows are
-    those of z against the data points, scaled by |a|^2, and lw + m leaves
-    out the -|y_perp|^2 / 2 shared by every component.
+    summed one coordinate row at a time over the rows the centers cover
+    (``zip`` stops there).  lw + m leaves out -|rest|^2 / 2 of the rows
+    beyond them, which every component shares.
     """
     batch, single = _as_batch(mix, u)
     white = mix.white_centers
     if white.ndim == 2:
-        y = _block_apply(mix.chol_inv, batch.T)
+        y = _block_apply(mix.whiten, batch.T)
+        rows = white.T[:, :, None]
     else:
-        y = kron_apply(mix.chol_inv, batch, mix.block_dim).T
-    if mix.axis is None:
-        coords, scale = y, -0.5
-        rows = white.T[:, :, None] if white.ndim == 2 else white.transpose(2, 1, 0)
-    else:
-        _, coords, scale = _on_axis(mix, y)
-        scale = -0.5 * scale
-        rows = mix.points.T[:, :, None]
+        y = kron_apply(mix.whiten, batch, mix.block_dim).T
+        rows = white.transpose(2, 1, 0)
     sq = np.zeros((white.shape[-2], len(batch)))
     diff = np.empty_like(sq)
-    for y_row, c_row in zip(coords, rows):
+    for y_row, c_row in zip(y, rows):
         np.subtract(y_row, c_row, out=diff)
         diff *= diff
         sq += diff
-    lw = scale * sq
+    lw = -0.5 * sq
     m = lw.max(axis=0)
     lw -= m
     return y, lw, m, single
@@ -258,11 +239,8 @@ def responsibilities(mix: EmpiricalMixture, u) -> np.ndarray:
 def log_density_shifted(mix: EmpiricalMixture, u) -> np.ndarray | float:
     """log p up to a u-independent constant (normalizer and 1/N dropped)."""
     y, lw, m, single = _log_weights(mix, u)
-    out = m + np.log(np.exp(lw).sum(axis=0))
-    if mix.axis is not None:
-        a, z, _ = _on_axis(mix, y)
-        resid = y.reshape(a.shape[0], len(z), -1) - a * z
-        out -= 0.5 * (resid * resid).sum(axis=(0, 1))
+    rest = y[mix.white_centers.shape[-1] :]
+    out = m + np.log(np.exp(lw).sum(axis=0)) - 0.5 * (rest * rest).sum(axis=0)
     return float(out[0]) if single else out
 
 
@@ -270,22 +248,20 @@ def score_full(mix: EmpiricalMixture, u) -> np.ndarray:
     """Gradient of the mixture log-density at u.
 
     Equals Sigma_t^{-1} (sum_k w_k c_k - u) with responsibilities w, taken
-    as (L^{-T} x I_h)(sum_k w_k c~_k - y) from the whitened point y and
-    whitened centers c~_k.
+    as -(W^T x I_h)(y - sum_k w_k c~_k) from the whitened point y and
+    whitened centers c~_k; the mean is subtracted in place from the rows
+    the centers cover, and negating W^T keeps the bits of W^T (mean - y).
     """
     y, lw, _, single = _log_weights(mix, u)
     w = _weights(lw)
-    white, inv_t, h = mix.white_centers, mix.chol_inv.swapaxes(-1, -2), mix.block_dim
-    if mix.axis is not None:  # the whitened mean a x (sum_k w_k x_k)
-        mean = (_axis_blocks(mix) * (mix.points.T @ w)).reshape(y.shape)
-    elif white.ndim == 2:
-        mean = white.T @ w
-    else:
-        mean = (w.T[:, None, :] @ white)[:, 0].T
+    white, h = mix.white_centers, mix.block_dim
+    neg_t = -mix.whiten.swapaxes(-1, -2)
     if white.ndim == 2:  # a shared time: two GEMMs on the columns
-        out = _block_apply(inv_t, mean - y).T
+        y[: white.shape[-1]] -= white.T @ w
+        out = _block_apply(neg_t, y).T
     else:
-        out = kron_apply(inv_t, (mean - y).T, h)
+        y[: white.shape[-1]] -= (w.T[:, None, :] @ white)[:, 0].T
+        out = kron_apply(neg_t, y.T, h)
     return out[0] if single else out
 
 

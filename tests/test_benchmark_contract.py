@@ -16,6 +16,7 @@ import pytest
 from holdlab import (
     Dataset,
     FixedPerSample,
+    Marginalized,
     cli,
     critically_damped_params,
     empirical_score_fn,
@@ -86,6 +87,20 @@ def test_score_callback_takes_the_oracles_single_point_form():
         assert u.shape == (4,) and got.shape == (2,) and np.isfinite(got).all()
     assert max(oracle.relative_errors(ref, score_fn, t, probes)) <= 1e-10
     assert mixture_at(dataset, params, sigma0, policy, t).n_components == 3
+
+
+def test_pair_count_reads_every_component_of_a_reflected_mixture():
+    # benchmarks/tracer.py counts score.pairs as rows x mix.n_components.  A
+    # Marginalized mixture of order >= 2 holds its whitened centers in h
+    # columns, not n*h; n_components must still be N, at a float time and
+    # at a (B,) array of times (generate_wide's shape).
+    params, policy = critically_damped_params(3), Marginalized()
+    dataset = Dataset(np.random.default_rng(0).standard_normal((5, 2)))
+    sigma0 = initial_covariance(params, policy)
+    for t in (0.1, np.array([0.1, 0.2, 0.3, 0.4])):
+        mix = mixture_at(dataset, params, sigma0, policy, t)
+        assert mix.white_centers.shape[-1] == 2
+        assert mix.n_components == 5
 
 
 def test_endpoint_recorder_sees_every_cell_of_one_driver(tmp_path):

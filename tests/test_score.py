@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 import weakref
 
 import numpy as np
@@ -53,6 +54,35 @@ def make_mixture(n=2, h=1, t=0.5, points=None, policy=None, alpha=1.0):
     return mixture_at(ds, params, s0, policy, t), ds, params, s0, policy
 
 
+def pieces(ds, params, s0, pol, t):
+    """The unwhitened pieces of the time-t mixture, read off
+    ``forward.schedule`` and ``Dataset.lifted``: the centers exp(Ft) u0^(k)
+    (built as (n*h, N) columns by the product ``_mixture`` uses and held as
+    their (N, n*h) transposes), the factor ``chol`` and ``chol_inv``.  At
+    (B,) times every array carries a leading B axis."""
+    stack = np.ndim(t) > 0
+    sched = schedule(params, s0, t if stack else [t])
+    k = slice(None) if stack else 0
+    lifted = ds.lifted(params, pol)
+    cols = sched.expm[k] @ lifted.T.reshape(params.order, -1)
+    centers = cols.reshape(*cols.shape[:-2], *lifted.T.shape).swapaxes(-1, -2)
+    return types.SimpleNamespace(
+        order=params.order,
+        block_dim=ds.h,
+        centers=centers,
+        chol=sched.chol[k],
+        chol_inv=sched.chol_inv[k],
+    )
+
+
+def full_white(ref):
+    """The (N, n*h) whitened centers L^{-1} c_k of ``pieces``, built as
+    ``_mixture`` builds an unreflected mixture's."""
+    cols = ref.centers.swapaxes(-1, -2)
+    white = ref.chol_inv @ cols.reshape(*cols.shape[:-2], ref.order, -1)
+    return white.reshape(cols.shape).swapaxes(-1, -2)
+
+
 class TestMixtureAt:
     def test_single_point_at_zero_time(self):
         params = critically_damped_params(2)
@@ -61,23 +91,26 @@ class TestMixtureAt:
         s0 = initial_covariance(params, pol)
         mix = mixture_at(ds, params, s0, pol, 0.0)
         assert mix.n_components == 1
-        assert np.array_equal(mix.centers[0], ds.lifted(params, pol)[0])
+        ref = pieces(ds, params, s0, pol, 0.0)
+        assert np.array_equal(ref.centers[0], ds.lifted(params, pol)[0])
         # A zero covariance: the factor is that of the 1e-12 floor.
         sched = schedule(params, s0, [0.0])
         assert not sched.cov.small.any() and sched.delta[0] == 1e-12
-        assert np.array_equal(mix.chol, sched.chol[0])
+        assert np.array_equal(mix.whiten, sched.chol_inv[0])
+        assert np.array_equal(mix.white_centers, full_white(ref))
 
     def test_centers_decay_at_large_t(self):
-        mix, *_ = make_mixture(n=3, h=2, t=20.0)
-        assert np.abs(mix.centers).max() <= 1e-6
+        _, ds, params, s0, pol = make_mixture(n=3, h=2, t=20.0)
+        assert np.abs(pieces(ds, params, s0, pol, 20.0).centers).max() <= 1e-6
 
     def test_order_preserving(self):
         pts = np.arange(10, dtype=float)[:, None]
-        mix, ds, params, s0, pol = make_mixture(n=2, h=1, t=0.3, points=pts)
+        _, ds, params, s0, pol = make_mixture(n=2, h=1, t=0.3, points=pts)
+        centers = pieces(ds, params, s0, pol, 0.3).centers
         e = expm_at(params, 0.3)
         for k in range(10):
             want = np.kron(e, np.eye(1)) @ ds.lifted(params, pol)[k]
-            assert np.allclose(mix.centers[k], want, atol=1e-12, rtol=0)
+            assert np.allclose(centers[k], want, atol=1e-12, rtol=0)
 
     def test_empty_dataset_rejected(self):
         params = critically_damped_params(2)
@@ -99,7 +132,8 @@ class TestResponsibilities:
         ds = Dataset(np.array([[0.0], [50.0]]))
         s0 = initial_covariance(params, Marginalized())
         mix = mixture_at(ds, params, s0, Marginalized(), 1.0)
-        at_first = responsibilities(mix, mix.centers[0])
+        first = pieces(ds, params, s0, Marginalized(), 1.0).centers[0]
+        at_first = responsibilities(mix, first)
         assert at_first[0] >= 1.0 - 1e-80
 
     def test_rows_sum_to_one(self):
@@ -138,7 +172,8 @@ class TestScoreFull:
         mix = mixture_at(ds, params, s0, pol, 0.7)
         u = np.array([0.3, -0.4])
         got = score_full(mix, u)
-        want = np.linalg.solve(covariance_at(params, s0, 0.7).small, mix.centers[0] - u)
+        center = pieces(ds, params, s0, pol, 0.7).centers[0]
+        want = np.linalg.solve(covariance_at(params, s0, 0.7).small, center - u)
         assert np.abs(got - want).max() <= 1e-10
 
     @pytest.mark.parametrize("n,h", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
@@ -166,7 +201,8 @@ class TestScoreFull:
         u = np.zeros(2)
         got = score_full(mix, u)
         sigma = covariance_at(params, s0, 0.5).small
-        want = np.linalg.solve(sigma, mix.centers.mean(axis=0) - u)
+        centers = pieces(ds, params, s0, pol, 0.5).centers
+        want = np.linalg.solve(sigma, centers.mean(axis=0) - u)
         assert np.abs(got - want).max() <= 1e-10
 
 
@@ -402,14 +438,15 @@ class TestBatchedTimes:
         mix = mixture_at(ds, params, s0, pol, times)
         assert mix.n_components == 6
         assert mix.white_centers.shape == (5, 6, 2 * n)
-        u = mix.centers[:, 1] + kron_apply(mix.chol, rng.standard_normal((5, 2 * n)), 2)
+        ref = pieces(ds, params, s0, pol, times)
+        u = ref.centers[:, 1] + kron_apply(ref.chol, rng.standard_normal((5, 2 * n)), 2)
         score, w = score_full(mix, u), responsibilities(mix, u)
         logp = log_density_shifted(mix, u)
         for b, t in enumerate(times):
             one = mixture_at(ds, params, s0, pol, float(t))
-            assert np.array_equal(mix.chol[b], one.chol)
+            assert np.array_equal(ref.chol[b], pieces(ds, params, s0, pol, float(t)).chol)
             assert np.array_equal(mix.white_centers[b], one.white_centers)
-            assert np.array_equal(mix.chol_inv[b], one.chol_inv)
+            assert np.array_equal(mix.whiten[b], one.whiten)
             want = score_full(one, u[b])
             assert np.abs(score[b] - want).max() <= 1e-12 * np.abs(want).max()
             assert np.abs(w[b] - responsibilities(one, u[b])).max() <= 1e-12
@@ -427,40 +464,42 @@ class TestResponsibilityCollapse:
         ds = Dataset(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]]))
         s0 = initial_covariance(params, pol)
         mix = mixture_at(ds, params, s0, pol, T_EPS)
+        centers = pieces(ds, params, s0, pol, T_EPS).centers
         for j in range(4):
-            w = responsibilities(mix, mix.centers[j])
+            w = responsibilities(mix, centers[j])
             assert w[j] >= 0.999
 
 
-def reference_kernel(mix, batch):
-    """Per-pair solve kernel: (squared distances, weights, log p, score).
+def reference_kernel(ref, batch):
+    """Per-pair solve kernel on the ``pieces`` of a mixture: (squared
+    distances, weights, log p, score).
 
     One triangular system per (point, center) pair against the block factor
     gives the squared Mahalanobis distances; the score comes from a dense
     (Sigma x I_h) solve, with Sigma = L L^T the covariance the factor
     represents (Sigma_t + delta I of the schedule).
     """
-    n, h = mix.order, mix.block_dim
-    diffs = batch[:, None, :] - mix.centers[None, :, :]
-    y = np.linalg.solve(mix.chol, diffs.reshape(-1, n, h))
+    n, h = ref.order, ref.block_dim
+    diffs = batch[:, None, :] - ref.centers[None, :, :]
+    y = np.linalg.solve(ref.chol, diffs.reshape(-1, n, h))
     sq = (y * y).sum(axis=(1, 2)).reshape(batch.shape[0], -1)
     lw = -0.5 * sq
     m = lw.max(axis=1)
     e = np.exp(lw - m[:, None])
     w = e / e.sum(axis=1, keepdims=True)
     logp = m + np.log(e.sum(axis=1))
-    sigma = mix.chol @ mix.chol.T
+    sigma = ref.chol @ ref.chol.T
     dense = np.kron(sigma, np.eye(h))
-    score = np.linalg.solve(dense, (w @ mix.centers - batch).T).T
+    score = np.linalg.solve(dense, (w @ ref.centers - batch).T).T
     return sq, w, logp, score
 
 
-def forward_probes(mix, rng, count):
+def forward_probes(ref, rng, count):
     """Forward samples around random centers plus a few prior-scale draws."""
-    nh = mix.order * mix.block_dim
-    k = rng.integers(mix.n_components, size=count)
+    nh = ref.order * ref.block_dim
+    k = rng.integers(len(ref.centers), size=count)
     eps = rng.standard_normal((count, nh))
-    near = mix.centers[k] + kron_apply(mix.chol, eps, mix.block_dim)
+    near = ref.centers[k] + kron_apply(ref.chol, eps, ref.block_dim)
     return np.vstack([near, rng.standard_normal((8, nh))])
 
 
@@ -482,10 +521,11 @@ class TestKernelOracle:
         for n_train in (1, 8, 256):
             ds = Dataset(3.0 * rng.standard_normal((n_train, 2)))
             mix = mixture_at(ds, params, s0, policy, t)
+            ref = pieces(ds, params, s0, policy, t)
             sigma = schedule(params, s0, [t]).cov.small[0]
             bound = max(1e-10, 1e-18 * np.linalg.cond(sigma))
-            u = forward_probes(mix, rng, 24)
-            _, w_ref, logp_ref, score_ref = reference_kernel(mix, u)
+            u = forward_probes(ref, rng, 24)
+            _, w_ref, logp_ref, score_ref = reference_kernel(ref, u)
             score = score_full(mix, u)
             rel = np.linalg.norm(score - score_ref, axis=1) / np.linalg.norm(
                 score_ref, axis=1
@@ -507,9 +547,10 @@ class TestKernelOracle:
         ds = Dataset(training_points(GaussianMixtureSpec(k=8, spread=6.0), 8, 7))
         s0 = initial_covariance(params, pol)
         mix = mixture_at(ds, params, s0, pol, 1e-3)
+        ref = pieces(ds, params, s0, pol, 1e-3)
         rng = np.random.default_rng(0)
-        u = mix.centers + kron_apply(mix.chol, rng.standard_normal((8, 6)), 2)
-        sq_ref, *_ = reference_kernel(mix, u)
+        u = ref.centers + kron_apply(ref.chol, rng.standard_normal((8, 6)), 2)
+        sq_ref, *_ = reference_kernel(ref, u)
         nearest = sq_ref.min(axis=1)
         assert np.all(nearest < 20.0)
         assert np.array_equal(responsibilities(mix, u), np.eye(8))
@@ -517,21 +558,23 @@ class TestKernelOracle:
 
     @pytest.mark.parametrize("n, bound", [(3, 1e-5), (4, 1e-3)])
     def test_nearest_center_distance_on_the_axis(self, n, bound):
-        # The Marginalized twin: distances are taken along the axis a, and
-        # -|y_perp|^2 / 2 comes back from the direct residual y - a x z.
-        # |a|^2 is 2.4e14 at order 3 and 1.4e20 at order 4, where one
-        # float64 difference of whitened coordinates near 1e11 errs by about
-        # 1e-5: the direct kernel misses the per-pair reference there by
-        # 1.5e-4 and this one by 1.8e-4 (both within 1e-4 of a 60-digit
-        # mpmath value), so order 4 takes the wider bound.
+        # The Marginalized twin: distances are taken in the h coordinates
+        # the reflection leaves to the centers, and the rows beyond them
+        # enter log p alone.  |a|^2 is 2.4e14 at order 3 and 1.4e20 at
+        # order 4, where one float64 difference of whitened coordinates near
+        # 1e11 errs by about 1e-5: the direct kernel misses the per-pair
+        # reference there by 1.5e-4 and this one by 9.4e-5, so order 4 takes
+        # the wider bound.
         params = critically_damped_params(n)
         pol = Marginalized()
         ds = Dataset(training_points(GaussianMixtureSpec(k=8, spread=6.0), 8, 7))
-        mix = mixture_at(ds, params, initial_covariance(params, pol), pol, 1e-3)
-        assert mix.axis is not None
+        s0 = initial_covariance(params, pol)
+        mix = mixture_at(ds, params, s0, pol, 1e-3)
+        assert mix.white_centers.shape == (8, 2)
+        ref = pieces(ds, params, s0, pol, 1e-3)
         rng = np.random.default_rng(0)
-        u = mix.centers + kron_apply(mix.chol, rng.standard_normal((8, 2 * n)), 2)
-        sq_ref, *_ = reference_kernel(mix, u)
+        u = ref.centers + kron_apply(ref.chol, rng.standard_normal((8, 2 * n)), 2)
+        sq_ref, *_ = reference_kernel(ref, u)
         nearest = sq_ref.min(axis=1)
         assert np.all(nearest < 20.0)
         assert np.array_equal(responsibilities(mix, u), np.eye(8))
@@ -599,23 +642,24 @@ class TestScoreMemo:
         assert sum(ref() is not None for ref in live) <= 2
 
 
-def rowmajor_kernel(mix, batch):
-    """The (B, N, n*h) kernel that the component-major one replaced.
+def rowmajor_kernel(ref, batch):
+    """The (B, N, n*h) kernel that the component-major one replaced, on the
+    ``pieces`` of a mixture.
 
     Returns (score, responsibilities, log p, scale), where scale is
     |L^{-T} mean| + |L^{-T} y| per row: the two terms whose difference is
     the score, before they cancel.
     """
-    h, inv_t = mix.block_dim, mix.chol_inv.swapaxes(-1, -2)
-    y = kron_apply(mix.chol_inv, batch, h)
-    diffs = y[:, None, :] - mix.white_centers
+    h, inv_t = ref.block_dim, ref.chol_inv.swapaxes(-1, -2)
+    white = full_white(ref)
+    y = kron_apply(ref.chol_inv, batch, h)
+    diffs = y[:, None, :] - white
     lw = -0.5 * np.einsum("bkj,bkj->bk", diffs, diffs)
     m = lw.max(axis=1)
     lw = lw - m[:, None]
     w = np.exp(lw)
     w /= w.sum(axis=1, keepdims=True)
     logp = m + np.log(np.exp(lw).sum(axis=1))
-    white = mix.white_centers
     mean = w @ white if white.ndim == 2 else (w[:, None, :] @ white)[:, 0]
     score = kron_apply(inv_t, mean - y, h)
     scale = np.linalg.norm(kron_apply(inv_t, mean, h), axis=1) + np.linalg.norm(
@@ -648,15 +692,12 @@ class TestComponentMajorKernel:
         batch = 40
         pick = rng.integers(n_train, size=batch)
         eps = rng.standard_normal((batch, 2 * n))
-        if shared:
-            mix = mixture_at(ds, params, s0, pol, t)
-            near = mix.centers[pick]
-        else:
-            times = t * rng.uniform(0.5, 2.0, size=batch)
-            mix = mixture_at(ds, params, s0, pol, times)
-            near = mix.centers[np.arange(batch), pick]
-        u = near + kron_apply(mix.chol, eps, 2)
-        score_ref, w_ref, logp_ref, scale = rowmajor_kernel(mix, u)
+        times = t if shared else t * rng.uniform(0.5, 2.0, size=batch)
+        mix = mixture_at(ds, params, s0, pol, times)
+        ref = pieces(ds, params, s0, pol, times)
+        near = ref.centers[pick] if shared else ref.centers[np.arange(batch), pick]
+        u = near + kron_apply(ref.chol, eps, 2)
+        score_ref, w_ref, logp_ref, scale = rowmajor_kernel(ref, u)
         score, w = score_full(mix, u), responsibilities(mix, u)
         logp = log_density_shifted(mix, u)
         assert score.shape == u.shape and w.shape == (batch, n_train)
@@ -669,9 +710,9 @@ class TestComponentMajorKernel:
             assert np.array_equal(w, w_ref)
 
 
-def direct_kernel(mix, batch):
-    """The kernel over all n*h whitened coordinates, as it was before the
-    axis path: (score, responsibilities, log p, scale, kappa).
+def direct_kernel(ref, batch):
+    """The kernel over all n*h coordinates whitened by L^{-1}, on the
+    ``pieces`` of a mixture: (score, responsibilities, log p, scale, kappa).
 
     scale_b = |L^{-T} mean_b| + |L^{-T} y_b|, the two terms whose difference
     is the score, before they cancel.  kappa_b = eps (1 + |y_b|)(1 + d_b),
@@ -679,12 +720,12 @@ def direct_kernel(mix, batch):
     center, is the rounding scale of the direct differences y_b - c~_k that
     both kernels take.
     """
-    h, white = mix.block_dim, mix.white_centers
+    h, white = ref.block_dim, full_white(ref)
     if white.ndim == 2:
-        y = score_module._block_apply(mix.chol_inv, batch.T)
+        y = score_module._block_apply(ref.chol_inv, batch.T)
         rows = white.T[:, :, None]
     else:
-        y = kron_apply(mix.chol_inv, batch, h).T
+        y = kron_apply(ref.chol_inv, batch, h).T
         rows = white.transpose(2, 1, 0)
     sq = np.zeros((white.shape[-2], len(batch)))
     diff = np.empty_like(sq)
@@ -697,7 +738,7 @@ def direct_kernel(mix, batch):
     lw -= m
     w = score_module._weights(lw)
     logp = m + np.log(np.exp(lw).sum(axis=0))
-    inv_t = mix.chol_inv.swapaxes(-1, -2)
+    inv_t = ref.chol_inv.swapaxes(-1, -2)
     if white.ndim == 2:
         mean = white.T @ w
         score = score_module._block_apply(inv_t, mean - y).T
@@ -714,14 +755,15 @@ def direct_kernel(mix, batch):
 
 
 class TestAxisKernel:
-    """Marginalized mixtures (order >= 2) measure distances in the h data
-    dimensions; the result must match the direct kernel over all n*h.
+    """Marginalized mixtures (order >= 2) are whitened by the reflection
+    Q L^{-1} and measure distances in its first h coordinates; the result
+    must match the direct kernel over all n*h coordinates whitened by L^{-1}.
 
     Both kernels round differences of whitened coordinates of size |y|, so
     they can differ by a multiple of kappa (see ``direct_kernel``), per
     probe: in the score relative to scale, in the weights and in log p.
-    Measured over the grid below: at most 5.0 kappa in the score, 3.0 in
-    the weights and 20.3 in log p, so the bound is 64 kappa.  kappa is
+    Measured over the grid below: at most 5.95 kappa in the score, 0.99 in
+    the weights and 7.9 in log p, so the bound is 64 kappa.  kappa is
     below 1e-11 wherever t >= 1, and below 1.1e-2 on the probes next to a
     center; between two centers at t <= 1e-2 it passes 1 and the weights
     are decided by rounding, in both kernels alike.
@@ -739,18 +781,19 @@ class TestAxisKernel:
             ds = Dataset(3.0 * rng.standard_normal((n_train, h)))
             for t in (10.0, 1.0, 1e-2, 1e-3):
                 pick = rng.integers(n_train, size=(2, batch))
+                times = t if shared else t * rng.uniform(0.5, 2.0, size=batch)
+                mix = mixture_at(ds, params, s0, pol, times)
+                ref = pieces(ds, params, s0, pol, times)
                 if shared:
-                    mix = mixture_at(ds, params, s0, pol, t)
-                    ends = mix.centers[pick]
+                    ends = ref.centers[pick]
                 else:
-                    times = t * rng.uniform(0.5, 2.0, size=batch)
-                    mix = mixture_at(ds, params, s0, pol, times)
-                    ends = mix.centers[np.arange(batch), pick]
-                assert mix.axis.shape == ((n,) if shared else (batch, n))
+                    ends = ref.centers[np.arange(batch), pick]
+                lead = () if shared else (batch,)
+                assert mix.white_centers.shape == (*lead, n_train, h)
                 eps = rng.standard_normal((batch, n * h))
-                near = ends[0] + kron_apply(mix.chol, eps, h)
+                near = ends[0] + kron_apply(ref.chol, eps, h)
                 for u in (near, 0.5 * (ends[0] + ends[1])):
-                    score_ref, w_ref, logp_ref, scale, kappa = direct_kernel(mix, u)
+                    score_ref, w_ref, logp_ref, scale, kappa = direct_kernel(ref, u)
                     bound = 64.0 * kappa
                     err = np.linalg.norm(score_full(mix, u) - score_ref, axis=1)
                     assert np.all(err <= bound * scale)
@@ -774,24 +817,85 @@ class TestAxisKernel:
         for t in (1.0, 1e-3):
             times = t if shared else t * rng.uniform(0.5, 2.0, size=16)
             mix = mixture_at(ds, params, s0, policy, times)
-            assert mix.axis is None and mix.points is None
+            ref = pieces(ds, params, s0, policy, times)
+            assert np.array_equal(mix.whiten, ref.chol_inv)
+            assert mix.white_centers.shape[-1] == 2 * n
             u = rng.standard_normal((16, 2 * n))
-            score_ref, w_ref, logp_ref, *_ = direct_kernel(mix, u)
+            score_ref, w_ref, logp_ref, *_ = direct_kernel(ref, u)
             assert np.array_equal(score_full(mix, u), score_ref)
             assert np.array_equal(responsibilities(mix, u), w_ref)
             assert np.array_equal(log_density_shifted(mix, u), logp_ref)
 
 
+class TestReflection:
+    """A marginalized mixture of order >= 2 whitens by W = Q L^{-1}, where
+    the Householder reflection Q maps the center axis a = L^{-1} exp(Ft) e_0
+    to -sign(a_0) |a| e_0.
+
+    Each check is relative to its scale: W^T W against L^{-T} L^{-1}
+    (largest entry), and the whitened centers (W x I_h) c_k against the
+    largest of them.  Measured over the grid below, with both signs of a_0:
+    at most 9.2e-16 for W^T W, 2.9e-16 for the rows past h, which must
+    vanish, and 5.4e-16 for ``white_centers`` against the first h rows (0
+    against -sign(a_0) |a| x_k); the bound is 4e-15.
+    """
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "stacked"])
+    @pytest.mark.parametrize("h", [1, 2, 16])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_reflects_the_center_axis_onto_e0(self, n, h, shared):
+        params, pol = critically_damped_params(n), Marginalized()
+        s0 = initial_covariance(params, pol)
+        rng = np.random.default_rng([n, h])
+        ds = Dataset(3.0 * rng.standard_normal((8, h)))
+        lifted = ds.lifted(params, pol)
+        k = 0 if shared else slice(None)
+        for t in (10.0, 1.0, 1e-2, 1e-3):
+            times = [t] if shared else t * rng.uniform(0.5, 2.0, size=5)
+            base = schedule(params, s0, times)
+            # A negated exp(Ft) flips a, so both signs of a_0 are reached.
+            for sign in (1.0, -1.0):
+                sched = dataclasses.replace(base, expm=sign * base.expm)
+                mix = score_module._mixture(ds, params, pol, sched, k)
+                inv, whiten, expm = sched.chol_inv[k], mix.whiten, sched.expm[k]
+                gram = inv.swapaxes(-1, -2) @ inv
+                err = whiten.swapaxes(-1, -2) @ whiten - gram
+                rel = np.abs(err).max(axis=(-2, -1)) / np.abs(gram).max(axis=(-2, -1))
+                assert rel.max() <= 4e-15
+                cols = whiten @ (expm @ lifted.T.reshape(n, -1))
+                white = cols.reshape(*cols.shape[:-2], n * h, -1).swapaxes(-1, -2)
+                scale = np.abs(white).max(axis=(-2, -1), keepdims=True)
+                assert (np.abs(white[..., h:]) / scale).max() <= 4e-15
+                got = mix.white_centers
+                assert (np.abs(got - white[..., :h]) / scale).max() <= 4e-15
+                a = (inv @ expm[..., :1])[..., 0]
+                s = np.where(a[..., 0] < 0, -1.0, 1.0)
+                assert np.all(s == sign)
+                on_e0 = (-s * np.linalg.norm(a, axis=-1))[..., None, None] * ds.points
+                assert (np.abs(got - on_e0) / scale).max() <= 4e-15
+
+
 def scalar_pieces(ds, params, s0, pol, t):
-    """A single-time mixture's fields as built before schedules (scalar
-    ``expm_at``, ``cholesky_block`` and inverse), then Sigma_t and the floor."""
-    h = ds.h
-    centers = kron_apply(expm_at(params, t)[None], ds.lifted(params, pol), h)
+    """A single-time mixture's whitening matrix and whitened centers as
+    built before schedules (scalar ``expm_at``, ``cholesky_block`` and
+    inverse; a marginalized mixture of order >= 2 as the reflection of its
+    axis vector), then the factor, Sigma_t and the floor."""
+    h, e = ds.h, expm_at(params, t)
     cov = covariance_at(params, s0, t)
     factor, shift = cholesky_block(cov)
     inv = np.linalg.inv(factor)
-    white = kron_apply(inv[None], centers, h)
-    return (centers, factor, inv, white), (cov.small, shift)
+    if isinstance(pol, Marginalized) and params.order > 1:
+        a = inv @ e[:, :1]
+        s = -1.0 if a[0, 0] < 0 else 1.0
+        norm = math.sqrt((a * a).sum())
+        v = a.copy()
+        v[0] += s * norm
+        q = np.eye(params.order) - 2.0 / (v.T @ v) * (v @ v.T)
+        whiten, white = q @ inv, -s * norm * ds.points
+    else:
+        centers = kron_apply(e[None], ds.lifted(params, pol), h)
+        whiten, white = inv, kron_apply(inv[None], centers, h)
+    return (whiten, white), (factor, cov.small, shift)
 
 
 class TestScheduledMixture:
@@ -807,22 +911,20 @@ class TestScheduledMixture:
             for k, t in enumerate(times.tolist()):
                 mix = score_module._mixture(ds, params, policy, sched, k)
                 one = mixture_at(ds, params, s0, policy, t)
-                want, (sigma, shift) = scalar_pieces(ds, params, s0, policy, t)
+                want, (factor, sigma, shift) = scalar_pieces(ds, params, s0, policy, t)
                 for m in (mix, one):
-                    got = (m.centers, m.chol, m.chol_inv, m.white_centers)
+                    got = (m.whiten, m.white_centers)
                     assert all(np.array_equal(a, b) for a, b in zip(got, want))
-                # Sigma_t and its floor live on the schedule, not the mixture.
+                # The factor, Sigma_t and its floor live on the schedule.
                 assert sched.times[k] == t and sched.delta[k] == shift
+                assert np.array_equal(sched.chol[k], factor)
                 assert np.array_equal(sched.cov.small[k], sigma)
 
     def test_mixture_holds_only_what_the_kernel_reads(self):
         names = [f.name for f in dataclasses.fields(EmpiricalMixture)]
-        assert names == [
-            "order", "block_dim", "points", "centers", "chol", "chol_inv",
-            "white_centers", "axis",
-        ]
+        assert names == ["order", "block_dim", "whiten", "white_centers"]
         mix, *_ = make_mixture(n=2, h=1, t=0.5)
-        for gone in ("cov", "t", "chol_shift"):
+        for gone in ("cov", "t", "chol_shift", "centers", "chol", "points", "axis"):
             assert not hasattr(mix, gone), gone
 
     def test_score_fn_builds_each_grid_time_once_from_the_schedule(self, monkeypatch):
@@ -883,8 +985,9 @@ class TestWeightsSkipUnderflow:
         times = rng.uniform(T_EPS, 2e-2, 32)
         mix = mixture_at(ds, params, s0, pol, times)
         pick = rng.integers(ds.n_train, size=32)
-        u = mix.centers[np.arange(32), pick]
-        u = u + kron_apply(mix.chol, rng.standard_normal((32, 6)), 2)
+        ref = pieces(ds, params, s0, pol, times)
+        u = ref.centers[np.arange(32), pick]
+        u = u + kron_apply(ref.chol, rng.standard_normal((32, 6)), 2)
         _, lw, _, _ = score_module._log_weights(mix, u)
         assert (lw <= -746).mean() > 0.5
         assert np.array_equal(responsibilities(mix, u), plain_weights(lw).T)
