@@ -836,7 +836,7 @@ class TestReflection:
     (largest entry), and the whitened centers (W x I_h) c_k against the
     largest of them.  Measured over the grid below, with both signs of a_0:
     at most 9.2e-16 for W^T W, 2.9e-16 for the rows past h, which must
-    vanish, and 5.4e-16 for ``white_centers`` against the first h rows (0
+    vanish, and 5.3e-16 for ``white_centers`` against the first h rows (0
     against -sign(a_0) |a| x_k); the bound is 4e-15.
     """
 
