@@ -117,14 +117,18 @@ def kron_apply(mat: np.ndarray, data: np.ndarray, block_dim: int) -> np.ndarray:
 
 
 def _block_apply(mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(mat x I_h) @ cols for (n*h, B) columns, as one (n, n) @ (n, h*B) GEMM.
+    """(mat x I_h) @ cols for (n*h, B) columns; column b is one lifted state.
 
-    Column b is one lifted state; C-contiguous columns reshape without a
-    copy.  At h >= 2 ``kron_apply`` on the rows makes one small GEMM per row,
-    and OpenBLAS rounds both alike; at h = 1 it takes the matrix-vector
-    route, which can differ in the last bit.
+    An (n, n) matrix or a (1, n, n) stack is one (n, n) @ (n, h*B) GEMM, with
+    no copy of C-contiguous columns; OpenBLAS rounds it like ``kron_apply``
+    on the rows (one small GEMM per row) at h >= 2, but not at h = 1, where
+    that takes the matrix-vector route.  A (B, n, n) stack applies matrix b
+    to column b through ``kron_apply``, and equals it bit for bit.
     """
-    return (mat @ cols.reshape(mat.shape[-1], -1)).reshape(cols.shape)
+    n = mat.shape[-1]
+    if mat.ndim == 2 or len(mat) == 1:
+        return (mat @ cols.reshape(n, -1)).reshape(cols.shape)
+    return kron_apply(mat, cols.T, len(cols) // n).T
 
 
 def critically_damped_params(

@@ -84,9 +84,9 @@ def det_ratio(n: int, t, xi: float | None = None):
     """det(I - exp(Ft))^2 / det(I - exp(Ft) exp(Ft)^T) for critical damping.
 
     n = 1 is the first-order ratio (1 - e^{-xi t})^2 / (1 - e^{-2 xi t})
-    = tanh(xi t / 2), xi defaulting to 1 and required to be positive (a
-    friction of 0 or below is no diffusion); orders >= 2 are critically
-    damped with l_inv = 1.  The numerator is (1 - e^{s* t})^{2n}; the
+    = tanh(xi t / 2), xi defaulting to 1 and, at every order, required to
+    be positive and finite (0 or below is no diffusion); orders >= 2 are
+    critically damped with l_inv = 1.  The numerator is (1 - e^{s* t})^{2n}; the
     denominator's log is twice the log-diagonal sum of the Cholesky factor
     of ``covariance_at``.  ``t`` is a positive float or (T,) array, and so
     is the result.  Raises ``ValueError``, naming the order and time, when
@@ -97,8 +97,8 @@ def det_ratio(n: int, t, xi: float | None = None):
         raise ValueError(f"det_ratio needs t > 0, got {t}")
     if n < 1:
         raise ValueError("order must be >= 1")
-    if xi is not None and xi <= 0:
-        raise ValueError(f"friction xi must be positive, got {xi}")
+    if xi is not None and not 0 < xi < math.inf:
+        raise ValueError(f"friction xi must be positive and finite, got {xi}")
     params = _order_params(n, xi or 1.0)
     zero = BlockCovariance(n, np.zeros((n, n)), 0.0)
     factor, delta = cholesky_stack(covariance_at(params, zero, t))

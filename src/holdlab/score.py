@@ -16,8 +16,8 @@ One kernel serves every order: at order 1 (the Ornstein-Uhlenbeck process)
 the mixture covariance is the scalar l_inv (1 - exp(-2 xi t)) and the same
 code gives the first-order empirical score.
 
-The policy is decided once, by the mixture builder.  A mixture holds an
-n x n whitening matrix W with W^T W = (L L^T)^{-1} and its whitened
+The policy is decided once, by the mixture builder.  A mixture holds
+n x n whitening matrices W with W^T W = (L L^T)^{-1} and their whitened
 centers, which cover the first r of the n*h whitened coordinates and are
 0 beyond them; the kernel compares the first r rows of y = (W x I_h) u
 with the centers, and the rows beyond them enter only log p.  Mixtures
@@ -27,27 +27,27 @@ center lies on one axis a = L^{-1} exp(Ft) e_0, and W = Q L^{-1} with the
 Householder reflection Q that maps a onto e_0, so r = h and the distances
 are measured in the h data dimensions.
 
-The kernel works component-major.  A (B, n*h) batch is whitened into
-contiguous (n*h, B) columns by one (n, n) @ (n, h*B) GEMM (no copy when
-the batch is the transpose of C-contiguous columns, as the sampler passes
-it); the squared distances to the N whitened centers accumulate into an
-(N, B) array one coordinate row at a time, the log-weights are reduced
-over the component axis 0, and the mean sum_k w_k c~_k is one
-(r, N) @ (N, B) GEMM, subtracted from the first r rows of y and mapped
-back through W^T by the same block GEMM.  Unreflected centers are built as
-(n*h, N) columns by the same block GEMM and held as their (N, n*h)
+Every mixture carries a leading time axis of length G: G = 1 for one time
+shared by the batch (the samplers), G = B for one time per row of a
+(B, n*h) batch (``mc_loss``).  The kernel has one path and works
+component-major.  The batch is whitened into (n*h, B) columns by
+``core._block_apply`` (at G = 1 one (n, n) @ (n, h*B) GEMM, with no copy
+when the batch is the transpose of C-contiguous columns, as the sampler
+passes it); the squared distances to the N whitened centers accumulate into
+an (N, B) array one coordinate row at a time, the log-weights are reduced
+over the component axis 0, and the mean sum_k w_k c~_k, one
+(r, N) @ (N, B/G) product per time, is subtracted from the first r rows of
+y and mapped back through W^T by the same block product.  Unreflected
+centers are built as (n*h, N) columns and held as their (N, n*h)
 transposes.  Results keep the row-major shapes: (B, n*h) scores, (B, N)
 responsibilities.
 
-A mixture built at a (B,) array of times, one per row of a (B, n*h) batch,
-carries a leading B axis on its whitening matrices and whitened centers,
-and the same kernel broadcasts over it.  The n x n pieces of a mixture
-come from a ``forward.schedule``; ``empirical_score_fn`` takes the
-schedule of a whole time grid, so a sampler factors its grid once.  Score
-callbacks are ``score_fn(u, t)`` -> (B, h) last-block scores for u of
-shape (B, n*h), with t a float (the samplers) or a (B,) array
-(``mc_loss``); a single (n*h,) point gives (h,).  Points are plain arrays
-throughout.
+The n x n pieces of a mixture come from a ``forward.schedule``;
+``empirical_score_fn`` takes the schedule of a whole time grid, so a
+sampler factors its grid once.  Score callbacks are ``score_fn(u, t)`` ->
+(B, h) last-block scores for u of shape (B, n*h), with t a float (the
+samplers) or a (B,) array (``mc_loss``); a single (n*h,) point gives (h,).
+Points are plain arrays throughout.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HoldParams, T_EPS, _block_apply, kron_apply
+from .core import HoldParams, T_EPS, _block_apply
 from .forward import (
     AuxPolicy,
     BlockCovariance,
@@ -114,12 +114,12 @@ class EmpiricalMixture:
     """Equal-weight Gaussian mixture: N centers sharing one block covariance
     Sigma = L L^T (Sigma_t + delta I of the schedule), held whitened.
 
-    ``whiten`` is an n x n matrix W with W^T W = Sigma^{-1}, and
-    ``white_centers`` holds the first r coordinates of the whitened centers
-    (W x I_h) c_k, which are 0 beyond them.  W = L^{-1} and r = n*h, except
-    for a marginalized mixture of order >= 2, where W also reflects the axis
-    of the centers onto e_0 and r = h (see ``_mixture``).  Built at (B,)
-    times, both fields carry a leading B axis."""
+    ``whiten`` holds (G, n, n) matrices W with W^T W = Sigma^{-1}, one per
+    time, and ``white_centers`` the (G, N, r) first r coordinates of the
+    whitened centers (W x I_h) c_k, which are 0 beyond them.  W = L^{-1}
+    and r = n*h, except for a marginalized mixture of order >= 2, where W
+    also reflects the axis of the centers onto e_0 and r = h (see
+    ``_mixture``)."""
 
     order: int
     block_dim: int
@@ -138,17 +138,16 @@ def mixture_at(
     policy: AuxPolicy,
     t,
 ) -> EmpiricalMixture:
-    """Time-t empirical mixture: centers exp(Ft) u0^(k), covariance Sigma_t."""
-    stack = np.ndim(t) > 0
-    sched = schedule(params, sigma0, t if stack else [t])
-    return _mixture(dataset, params, policy, sched, slice(None) if stack else 0)
+    """Time-t empirical mixture: centers exp(Ft) u0^(k), covariance Sigma_t;
+    G = 1 at a float t, G = B at a (B,) array of times."""
+    sched = schedule(params, sigma0, np.atleast_1d(t))
+    return _mixture(dataset, params, policy, sched, slice(None))
 
 
 def _mixture(
-    dataset: Dataset, params: HoldParams, policy: AuxPolicy, sched: Schedule, k
+    dataset: Dataset, params: HoldParams, policy: AuxPolicy, sched: Schedule, k: slice
 ) -> EmpiricalMixture:
-    """The mixture at ``sched.times[k]``: one time for an integer k, the
-    stack for a slice.
+    """The mixture at the G times ``sched.times[k]``.
 
     Under the marginalized policy at order n >= 2 every lifted center is
     e_0 x x_k, so every whitened center lies on the axis
@@ -172,20 +171,22 @@ def _mixture(
         lifted = dataset.lifted(params, policy)
         cols = inv @ (expm @ lifted.T.reshape(n, -1))
         whiten = inv
-        white = cols.reshape(*cols.shape[:-2], *lifted.T.shape).swapaxes(-1, -2)
+        white = cols.reshape(len(cols), *lifted.T.shape).swapaxes(-1, -2)
     return EmpiricalMixture(
         order=n, block_dim=dataset.h, whiten=whiten, white_centers=white
     )
 
 
 def _as_batch(mix: EmpiricalMixture, u) -> tuple[np.ndarray, bool]:
-    """A (B, n*h) batch, or one (n*h,) point as a batch of one."""
+    """A (B, n*h) batch, or one (n*h,) point as a batch of one; a mixture
+    at G > 1 times takes G rows."""
     arr = np.asarray(u, dtype=float)
     if arr.shape[-1:] != (mix.order * mix.block_dim,):
         raise ValueError("state shape does not match mixture")
-    if arr.ndim == 1:
-        return arr[None, :], True
-    return arr, False
+    batch, times = np.atleast_2d(arr), len(mix.whiten)
+    if times not in (1, len(batch)):
+        raise ValueError(f"mixture at {times} times does not match {len(batch)} rows")
+    return batch, arr.ndim == 1
 
 
 def _log_weights(mix: EmpiricalMixture, u):
@@ -194,20 +195,16 @@ def _log_weights(mix: EmpiricalMixture, u):
 
     lw[k, b] = -|y_b - c~_k|^2 / 2 - m_b over the whitened centers c~_k,
     summed one coordinate row at a time over the rows the centers cover
-    (``zip`` stops there).  lw + m leaves out -|rest|^2 / 2 of the rows
-    beyond them, which every component shares.
+    (``zip`` stops there); a row of the (r, N, G) transposed centers
+    broadcasts over the B columns.  lw + m leaves out -|rest|^2 / 2 of the
+    rows beyond them, which every component shares.
     """
     batch, single = _as_batch(mix, u)
     white = mix.white_centers
-    if white.ndim == 2:
-        y = _block_apply(mix.whiten, batch.T)
-        rows = white.T[:, :, None]
-    else:
-        y = kron_apply(mix.whiten, batch, mix.block_dim).T
-        rows = white.transpose(2, 1, 0)
+    y = _block_apply(mix.whiten, batch.T)
     sq = np.zeros((white.shape[-2], len(batch)))
     diff = np.empty_like(sq)
-    for y_row, c_row in zip(y, rows):
+    for y_row, c_row in zip(y, white.T):
         np.subtract(y_row, c_row, out=diff)
         diff *= diff
         sq += diff
@@ -254,14 +251,11 @@ def score_full(mix: EmpiricalMixture, u) -> np.ndarray:
     """
     y, lw, _, single = _log_weights(mix, u)
     w = _weights(lw)
-    white, h = mix.white_centers, mix.block_dim
-    neg_t = -mix.whiten.swapaxes(-1, -2)
-    if white.ndim == 2:  # a shared time: two GEMMs on the columns
-        y[: white.shape[-1]] -= white.T @ w
-        out = _block_apply(neg_t, y).T
-    else:
-        y[: white.shape[-1]] -= (w.T[:, None, :] @ white)[:, 0].T
-        out = kron_apply(neg_t, y.T, h)
+    white = mix.white_centers
+    times, n_comp, r = white.shape
+    mean = white.swapaxes(-1, -2) @ w.reshape(n_comp, times, -1).swapaxes(0, 1)
+    y[:r] -= mean.swapaxes(0, 1).reshape(r, -1)
+    out = _block_apply(-mix.whiten.swapaxes(-1, -2), y).T
     return out[0] if single else out
 
 
@@ -301,7 +295,7 @@ def empirical_score_fn(
             if k is None:
                 last_mix = mixture_at(dataset, params, sigma0, policy, t)
             else:
-                last_mix = _mixture(dataset, params, policy, schedule, k)
+                last_mix = _mixture(dataset, params, policy, schedule, slice(k, k + 1))
             last_t = t
         return score_last_block(last_mix, u)
 
@@ -342,9 +336,9 @@ def mc_loss(
         block = slice(lo, lo + _MC_BLOCK)
         t, eps = times[block], noise[block]
         sched = schedule(params, sigma0, t)
-        u_t = kron_apply(sched.expm, lifted[picks[block]], h)
-        u_t += kron_apply(sched.chol, eps, h)
-        s = np.broadcast_to(np.asarray(score_fn(u_t, t), dtype=float), (len(t), h))
+        cols = _block_apply(sched.expm, lifted[picks[block]].T)
+        cols += _block_apply(sched.chol, eps.T)
+        s = np.broadcast_to(np.asarray(score_fn(cols.T, t), dtype=float), (len(t), h))
         resid = eps[:, -h:] + s * sched.chol[:, -1:, -1]
         total += float(np.einsum("bj,bj->", resid, resid))
     return total / n_mc

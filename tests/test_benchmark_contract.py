@@ -23,6 +23,7 @@ from holdlab import (
     initial_covariance,
     mixture_at,
 )
+from holdlab.core import _order_params
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -92,15 +93,18 @@ def test_score_callback_takes_the_oracles_single_point_form():
 def test_pair_count_reads_every_component_of_a_reflected_mixture():
     # benchmarks/tracer.py counts score.pairs as rows x mix.n_components.  A
     # Marginalized mixture of order >= 2 holds its whitened centers in h
-    # columns, not n*h; n_components must still be N, at a float time and
-    # at a (B,) array of times (generate_wide's shape).
-    params, policy = critically_damped_params(3), Marginalized()
+    # columns, not n*h, and every mixture carries a leading time axis;
+    # n_components must still be N, at a float time and at a (B,) array of
+    # times (generate_wide's shape).
     dataset = Dataset(np.random.default_rng(0).standard_normal((5, 2)))
-    sigma0 = initial_covariance(params, policy)
-    for t in (0.1, np.array([0.1, 0.2, 0.3, 0.4])):
-        mix = mixture_at(dataset, params, sigma0, policy, t)
-        assert mix.white_centers.shape[-1] == 2
-        assert mix.n_components == 5
+    cases = [(3, Marginalized(), 2), (3, FixedPerSample(seed=3), 6), (1, Marginalized(), 2)]
+    for order, policy, columns in cases:
+        params = _order_params(order)
+        sigma0 = initial_covariance(params, policy)
+        for t in (0.1, np.array([0.1, 0.2, 0.3, 0.4])):
+            mix = mixture_at(dataset, params, sigma0, policy, t)
+            assert mix.white_centers.shape == (np.size(t), 5, columns)
+            assert mix.n_components == 5
 
 
 def test_endpoint_recorder_sees_every_cell_of_one_driver(tmp_path):

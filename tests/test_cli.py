@@ -205,12 +205,14 @@ class TestCollapseCommand:
         assert table[(1, 1e-2)] <= 1e-2
         assert table[(3, 1e-2)] > table[(2, 1e-2)]
 
-    @pytest.mark.parametrize("xi", ["0", "-1"])
+    @pytest.mark.parametrize("xi", ["0", "-1", "nan"])
     def test_bad_friction_exits_2(self, tmp_path, capsys, xi):
+        # Orders >= 2 do not read xi, and must reject it all the same.
         out = tmp_path / "collapse.csv"
-        assert main(["collapse", "--ou-xi", xi, "--out", str(out)]) == 2
-        assert "friction" in capsys.readouterr().err
-        assert not out.exists()
+        for orders in ([], ["--orders", "2,3"]):
+            assert main(["collapse", *orders, "--ou-xi", xi, "--out", str(out)]) == 2
+            assert "friction" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags", [["--t-min", "0"], ["--t-max", "-1"], ["--t-points", "0"]]

@@ -309,6 +309,28 @@ class TestStateAndKron:
         want = np.stack([kron_apply(m, d, 2) for m, d in zip(mats, data)])
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("layout", ["c-contiguous", "transposed"])
+    @pytest.mark.parametrize("h", [1, 2, 16])
+    def test_block_apply_matches_kron_apply(self, h, layout):
+        # (n*h, B) columns: a (B, n, n) stack equals kron_apply on the rows
+        # bit for bit; an (n, n) matrix and a (1, n, n) stack equal the one
+        # 2-D GEMM, and that GEMM equals kron_apply too when h >= 2.
+        rng = np.random.default_rng([h, len(layout)])
+        n, batch = 3, 7
+        mats = rng.standard_normal((batch, n, n))
+        rows = rng.standard_normal((batch, n * h))
+        cols = rows.T if layout == "transposed" else np.ascontiguousarray(rows.T)
+        got = core._block_apply(mats, cols)
+        assert got.shape == cols.shape
+        assert np.array_equal(got, kron_apply(mats, rows, h).T)
+        gemm = (mats[0] @ np.ascontiguousarray(cols).reshape(n, -1)).reshape(cols.shape)
+        dense = np.kron(mats[0], np.eye(h)) @ cols
+        assert np.allclose(gemm, dense, rtol=0, atol=1e-12)
+        for mat in (mats[0], mats[:1]):
+            assert np.array_equal(core._block_apply(mat, cols), gemm)
+        if h >= 2:
+            assert np.array_equal(gemm, kron_apply(mats[0], rows, h).T)
+
     def test_blockmatrix_matvec(self):
         f = build_forward_matrix(critically_damped_params(2))
         u = LiftedState(2, 2, np.array([1.0, 0.0, 0.0, 2.0]))

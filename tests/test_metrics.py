@@ -198,7 +198,7 @@ class TestDetRatio:
     def test_first_order_custom_xi(self):
         assert det_ratio(1, 0.5, xi=2.0) == pytest.approx(math.tanh(0.5), rel=1e-12)
 
-    @pytest.mark.parametrize("xi", [0.0, -1.0])
+    @pytest.mark.parametrize("xi", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_friction_rejected(self, xi):
         for n in (1, 2):
             with pytest.raises(ValueError, match="friction"):

@@ -58,28 +58,27 @@ def pieces(ds, params, s0, pol, t):
     """The unwhitened pieces of the time-t mixture, read off
     ``forward.schedule`` and ``Dataset.lifted``: the centers exp(Ft) u0^(k)
     (built as (n*h, N) columns by the product ``_mixture`` uses and held as
-    their (N, n*h) transposes), the factor ``chol`` and ``chol_inv``.  At
-    (B,) times every array carries a leading B axis."""
-    stack = np.ndim(t) > 0
-    sched = schedule(params, s0, t if stack else [t])
-    k = slice(None) if stack else 0
+    their (N, n*h) transposes), the factor ``chol`` and ``chol_inv``.  Like
+    the mixture's fields, every array carries a leading time axis: G = 1 at
+    a float t, G = B at (B,) times."""
+    sched = schedule(params, s0, np.atleast_1d(t))
     lifted = ds.lifted(params, pol)
-    cols = sched.expm[k] @ lifted.T.reshape(params.order, -1)
-    centers = cols.reshape(*cols.shape[:-2], *lifted.T.shape).swapaxes(-1, -2)
+    cols = sched.expm @ lifted.T.reshape(params.order, -1)
+    centers = cols.reshape(len(cols), *lifted.T.shape).swapaxes(-1, -2)
     return types.SimpleNamespace(
         order=params.order,
         block_dim=ds.h,
         centers=centers,
-        chol=sched.chol[k],
-        chol_inv=sched.chol_inv[k],
+        chol=sched.chol,
+        chol_inv=sched.chol_inv,
     )
 
 
 def full_white(ref):
-    """The (N, n*h) whitened centers L^{-1} c_k of ``pieces``, built as
+    """The (G, N, n*h) whitened centers L^{-1} c_k of ``pieces``, built as
     ``_mixture`` builds an unreflected mixture's."""
     cols = ref.centers.swapaxes(-1, -2)
-    white = ref.chol_inv @ cols.reshape(*cols.shape[:-2], ref.order, -1)
+    white = ref.chol_inv @ cols.reshape(len(cols), ref.order, -1)
     return white.reshape(cols.shape).swapaxes(-1, -2)
 
 
@@ -92,11 +91,11 @@ class TestMixtureAt:
         mix = mixture_at(ds, params, s0, pol, 0.0)
         assert mix.n_components == 1
         ref = pieces(ds, params, s0, pol, 0.0)
-        assert np.array_equal(ref.centers[0], ds.lifted(params, pol)[0])
+        assert np.array_equal(ref.centers[0, 0], ds.lifted(params, pol)[0])
         # A zero covariance: the factor is that of the 1e-12 floor.
         sched = schedule(params, s0, [0.0])
         assert not sched.cov.small.any() and sched.delta[0] == 1e-12
-        assert np.array_equal(mix.whiten, sched.chol_inv[0])
+        assert np.array_equal(mix.whiten, sched.chol_inv)
         assert np.array_equal(mix.white_centers, full_white(ref))
 
     def test_centers_decay_at_large_t(self):
@@ -106,7 +105,7 @@ class TestMixtureAt:
     def test_order_preserving(self):
         pts = np.arange(10, dtype=float)[:, None]
         _, ds, params, s0, pol = make_mixture(n=2, h=1, t=0.3, points=pts)
-        centers = pieces(ds, params, s0, pol, 0.3).centers
+        centers = pieces(ds, params, s0, pol, 0.3).centers[0]
         e = expm_at(params, 0.3)
         for k in range(10):
             want = np.kron(e, np.eye(1)) @ ds.lifted(params, pol)[k]
@@ -132,7 +131,7 @@ class TestResponsibilities:
         ds = Dataset(np.array([[0.0], [50.0]]))
         s0 = initial_covariance(params, Marginalized())
         mix = mixture_at(ds, params, s0, Marginalized(), 1.0)
-        first = pieces(ds, params, s0, Marginalized(), 1.0).centers[0]
+        first = pieces(ds, params, s0, Marginalized(), 1.0).centers[0, 0]
         at_first = responsibilities(mix, first)
         assert at_first[0] >= 1.0 - 1e-80
 
@@ -172,7 +171,7 @@ class TestScoreFull:
         mix = mixture_at(ds, params, s0, pol, 0.7)
         u = np.array([0.3, -0.4])
         got = score_full(mix, u)
-        center = pieces(ds, params, s0, pol, 0.7).centers[0]
+        center = pieces(ds, params, s0, pol, 0.7).centers[0, 0]
         want = np.linalg.solve(covariance_at(params, s0, 0.7).small, center - u)
         assert np.abs(got - want).max() <= 1e-10
 
@@ -201,7 +200,7 @@ class TestScoreFull:
         u = np.zeros(2)
         got = score_full(mix, u)
         sigma = covariance_at(params, s0, 0.5).small
-        centers = pieces(ds, params, s0, pol, 0.5).centers
+        centers = pieces(ds, params, s0, pol, 0.5).centers[0]
         want = np.linalg.solve(sigma, centers.mean(axis=0) - u)
         assert np.abs(got - want).max() <= 1e-10
 
@@ -444,15 +443,30 @@ class TestBatchedTimes:
         logp = log_density_shifted(mix, u)
         for b, t in enumerate(times):
             one = mixture_at(ds, params, s0, pol, float(t))
-            assert np.array_equal(ref.chol[b], pieces(ds, params, s0, pol, float(t)).chol)
-            assert np.array_equal(mix.white_centers[b], one.white_centers)
-            assert np.array_equal(mix.whiten[b], one.whiten)
+            assert np.array_equal(ref.chol[b], pieces(ds, params, s0, pol, float(t)).chol[0])
+            assert np.array_equal(mix.white_centers[b], one.white_centers[0])
+            assert np.array_equal(mix.whiten[b], one.whiten[0])
             want = score_full(one, u[b])
             assert np.abs(score[b] - want).max() <= 1e-12 * np.abs(want).max()
             assert np.abs(w[b] - responsibilities(one, u[b])).max() <= 1e-12
             assert abs(logp[b] - log_density_shifted(one, u[b])) <= 1e-12 * max(
                 1.0, abs(logp[b])
             )
+
+    def test_batch_must_match_the_time_stack(self):
+        # A mixture at G > 1 times takes G rows; at one time, any batch.
+        # 4 rows would otherwise fold into the 2 times' columns unchecked.
+        params, pol = critically_damped_params(2), FixedPerSample(seed=4)
+        ds = Dataset(np.random.default_rng(5).standard_normal((3, 2)))
+        s0 = initial_covariance(params, pol)
+        mix = mixture_at(ds, params, s0, pol, np.array([0.2, 0.4]))
+        for u in (np.ones((4, 4)), np.ones((3, 4)), np.ones((1, 4)), np.ones(4)):
+            rows = len(np.atleast_2d(u))
+            for fn in (score_full, responsibilities, log_density_shifted):
+                with pytest.raises(ValueError, match=f"2 times .* {rows} rows"):
+                    fn(mix, u)
+        one = mixture_at(ds, params, s0, pol, np.array([0.2]))
+        assert score_full(one, np.ones((4, 4))).shape == (4, 4)
 
 
 class TestResponsibilityCollapse:
@@ -464,42 +478,43 @@ class TestResponsibilityCollapse:
         ds = Dataset(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]]))
         s0 = initial_covariance(params, pol)
         mix = mixture_at(ds, params, s0, pol, T_EPS)
-        centers = pieces(ds, params, s0, pol, T_EPS).centers
+        centers = pieces(ds, params, s0, pol, T_EPS).centers[0]
         for j in range(4):
             w = responsibilities(mix, centers[j])
             assert w[j] >= 0.999
 
 
 def reference_kernel(ref, batch):
-    """Per-pair solve kernel on the ``pieces`` of a mixture: (squared
-    distances, weights, log p, score).
+    """Per-pair solve kernel on the ``pieces`` of a mixture at one time:
+    (squared distances, weights, log p, score).
 
     One triangular system per (point, center) pair against the block factor
     gives the squared Mahalanobis distances; the score comes from a dense
     (Sigma x I_h) solve, with Sigma = L L^T the covariance the factor
     represents (Sigma_t + delta I of the schedule).
     """
-    n, h = ref.order, ref.block_dim
-    diffs = batch[:, None, :] - ref.centers[None, :, :]
-    y = np.linalg.solve(ref.chol, diffs.reshape(-1, n, h))
+    n, h, centers, chol = ref.order, ref.block_dim, ref.centers[0], ref.chol[0]
+    diffs = batch[:, None, :] - centers[None, :, :]
+    y = np.linalg.solve(chol, diffs.reshape(-1, n, h))
     sq = (y * y).sum(axis=(1, 2)).reshape(batch.shape[0], -1)
     lw = -0.5 * sq
     m = lw.max(axis=1)
     e = np.exp(lw - m[:, None])
     w = e / e.sum(axis=1, keepdims=True)
     logp = m + np.log(e.sum(axis=1))
-    sigma = ref.chol @ ref.chol.T
+    sigma = chol @ chol.T
     dense = np.kron(sigma, np.eye(h))
-    score = np.linalg.solve(dense, (w @ ref.centers - batch).T).T
+    score = np.linalg.solve(dense, (w @ centers - batch).T).T
     return sq, w, logp, score
 
 
 def forward_probes(ref, rng, count):
-    """Forward samples around random centers plus a few prior-scale draws."""
-    nh = ref.order * ref.block_dim
-    k = rng.integers(len(ref.centers), size=count)
+    """Forward samples around random centers of a mixture at one time, plus
+    a few prior-scale draws."""
+    nh, centers = ref.order * ref.block_dim, ref.centers[0]
+    k = rng.integers(len(centers), size=count)
     eps = rng.standard_normal((count, nh))
-    near = ref.centers[k] + kron_apply(ref.chol, eps, ref.block_dim)
+    near = centers[k] + kron_apply(ref.chol, eps, ref.block_dim)
     return np.vstack([near, rng.standard_normal((8, nh))])
 
 
@@ -549,7 +564,7 @@ class TestKernelOracle:
         mix = mixture_at(ds, params, s0, pol, 1e-3)
         ref = pieces(ds, params, s0, pol, 1e-3)
         rng = np.random.default_rng(0)
-        u = ref.centers + kron_apply(ref.chol, rng.standard_normal((8, 6)), 2)
+        u = ref.centers[0] + kron_apply(ref.chol, rng.standard_normal((8, 6)), 2)
         sq_ref, *_ = reference_kernel(ref, u)
         nearest = sq_ref.min(axis=1)
         assert np.all(nearest < 20.0)
@@ -570,10 +585,10 @@ class TestKernelOracle:
         ds = Dataset(training_points(GaussianMixtureSpec(k=8, spread=6.0), 8, 7))
         s0 = initial_covariance(params, pol)
         mix = mixture_at(ds, params, s0, pol, 1e-3)
-        assert mix.white_centers.shape == (8, 2)
+        assert mix.white_centers.shape == (1, 8, 2)
         ref = pieces(ds, params, s0, pol, 1e-3)
         rng = np.random.default_rng(0)
-        u = ref.centers + kron_apply(ref.chol, rng.standard_normal((8, 2 * n)), 2)
+        u = ref.centers[0] + kron_apply(ref.chol, rng.standard_normal((8, 2 * n)), 2)
         sq_ref, *_ = reference_kernel(ref, u)
         nearest = sq_ref.min(axis=1)
         assert np.all(nearest < 20.0)
@@ -660,7 +675,7 @@ def rowmajor_kernel(ref, batch):
     w = np.exp(lw)
     w /= w.sum(axis=1, keepdims=True)
     logp = m + np.log(np.exp(lw).sum(axis=1))
-    mean = w @ white if white.ndim == 2 else (w[:, None, :] @ white)[:, 0]
+    mean = (w[:, None, :] @ white)[:, 0]
     score = kron_apply(inv_t, mean - y, h)
     scale = np.linalg.norm(kron_apply(inv_t, mean, h), axis=1) + np.linalg.norm(
         kron_apply(inv_t, y, h), axis=1
@@ -695,8 +710,8 @@ class TestComponentMajorKernel:
         times = t if shared else t * rng.uniform(0.5, 2.0, size=batch)
         mix = mixture_at(ds, params, s0, pol, times)
         ref = pieces(ds, params, s0, pol, times)
-        near = ref.centers[pick] if shared else ref.centers[np.arange(batch), pick]
-        u = near + kron_apply(ref.chol, eps, 2)
+        rows = 0 if shared else np.arange(batch)
+        u = ref.centers[rows, pick] + kron_apply(ref.chol, eps, 2)
         score_ref, w_ref, logp_ref, scale = rowmajor_kernel(ref, u)
         score, w = score_full(mix, u), responsibilities(mix, u)
         logp = log_density_shifted(mix, u)
@@ -721,15 +736,11 @@ def direct_kernel(ref, batch):
     both kernels take.
     """
     h, white = ref.block_dim, full_white(ref)
-    if white.ndim == 2:
-        y = score_module._block_apply(ref.chol_inv, batch.T)
-        rows = white.T[:, :, None]
-    else:
-        y = kron_apply(ref.chol_inv, batch, h).T
-        rows = white.transpose(2, 1, 0)
-    sq = np.zeros((white.shape[-2], len(batch)))
+    times, n_comp, r = white.shape
+    y = score_module._block_apply(ref.chol_inv, batch.T)
+    sq = np.zeros((n_comp, len(batch)))
     diff = np.empty_like(sq)
-    for y_row, c_row in zip(y, rows):
+    for y_row, c_row in zip(y, white.T):
         np.subtract(y_row, c_row, out=diff)
         diff *= diff
         sq += diff
@@ -739,13 +750,10 @@ def direct_kernel(ref, batch):
     w = score_module._weights(lw)
     logp = m + np.log(np.exp(lw).sum(axis=0))
     inv_t = ref.chol_inv.swapaxes(-1, -2)
-    if white.ndim == 2:
-        mean = white.T @ w
-        score = score_module._block_apply(inv_t, mean - y).T
-        mean = mean.T
-    else:
-        mean = (w.T[:, None, :] @ white)[:, 0]
-        score = kron_apply(inv_t, mean - y.T, h)
+    mean = white.swapaxes(-1, -2) @ w.reshape(n_comp, times, -1).swapaxes(0, 1)
+    mean = mean.swapaxes(0, 1).reshape(r, -1)
+    score = score_module._block_apply(inv_t, mean - y).T
+    mean = mean.T
     scale = np.linalg.norm(kron_apply(inv_t, mean, h), axis=1) + np.linalg.norm(
         kron_apply(inv_t, np.ascontiguousarray(y.T), h), axis=1
     )
@@ -784,12 +792,9 @@ class TestAxisKernel:
                 times = t if shared else t * rng.uniform(0.5, 2.0, size=batch)
                 mix = mixture_at(ds, params, s0, pol, times)
                 ref = pieces(ds, params, s0, pol, times)
-                if shared:
-                    ends = ref.centers[pick]
-                else:
-                    ends = ref.centers[np.arange(batch), pick]
-                lead = () if shared else (batch,)
-                assert mix.white_centers.shape == (*lead, n_train, h)
+                rows = 0 if shared else np.arange(batch)
+                ends = ref.centers[rows, pick]
+                assert mix.white_centers.shape == (len(ref.centers), n_train, h)
                 eps = rng.standard_normal((batch, n * h))
                 near = ends[0] + kron_apply(ref.chol, eps, h)
                 for u in (near, 0.5 * (ends[0] + ends[1])):
@@ -849,21 +854,20 @@ class TestReflection:
         rng = np.random.default_rng([n, h])
         ds = Dataset(3.0 * rng.standard_normal((8, h)))
         lifted = ds.lifted(params, pol)
-        k = 0 if shared else slice(None)
         for t in (10.0, 1.0, 1e-2, 1e-3):
             times = [t] if shared else t * rng.uniform(0.5, 2.0, size=5)
             base = schedule(params, s0, times)
             # A negated exp(Ft) flips a, so both signs of a_0 are reached.
             for sign in (1.0, -1.0):
                 sched = dataclasses.replace(base, expm=sign * base.expm)
-                mix = score_module._mixture(ds, params, pol, sched, k)
-                inv, whiten, expm = sched.chol_inv[k], mix.whiten, sched.expm[k]
+                mix = score_module._mixture(ds, params, pol, sched, slice(None))
+                inv, whiten, expm = sched.chol_inv, mix.whiten, sched.expm
                 gram = inv.swapaxes(-1, -2) @ inv
                 err = whiten.swapaxes(-1, -2) @ whiten - gram
                 rel = np.abs(err).max(axis=(-2, -1)) / np.abs(gram).max(axis=(-2, -1))
                 assert rel.max() <= 4e-15
                 cols = whiten @ (expm @ lifted.T.reshape(n, -1))
-                white = cols.reshape(*cols.shape[:-2], n * h, -1).swapaxes(-1, -2)
+                white = cols.reshape(len(cols), n * h, -1).swapaxes(-1, -2)
                 scale = np.abs(white).max(axis=(-2, -1), keepdims=True)
                 assert (np.abs(white[..., h:]) / scale).max() <= 4e-15
                 got = mix.white_centers
@@ -909,12 +913,12 @@ class TestScheduledMixture:
         for times in (TimeGrid(steps=100).times(), quadratic.times()):
             sched = schedule(params, s0, times)
             for k, t in enumerate(times.tolist()):
-                mix = score_module._mixture(ds, params, policy, sched, k)
+                mix = score_module._mixture(ds, params, policy, sched, slice(k, k + 1))
                 one = mixture_at(ds, params, s0, policy, t)
                 want, (factor, sigma, shift) = scalar_pieces(ds, params, s0, policy, t)
                 for m in (mix, one):
                     got = (m.whiten, m.white_centers)
-                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                    assert all(np.array_equal(a, b[None]) for a, b in zip(got, want))
                 # The factor, Sigma_t and its floor live on the schedule.
                 assert sched.times[k] == t and sched.delta[k] == shift
                 assert np.array_equal(sched.chol[k], factor)
@@ -939,7 +943,7 @@ class TestScheduledMixture:
         monkeypatch.setattr(score_module, "mixture_at", None)  # never reached
         fn = empirical_score_fn(ds, params, s0, pol, schedule=sched)
         got, *_ = pf_ode_endpoints(params, fn, grid, rng_seed=5, h=2, runs=6)
-        assert built == list(range(41))
+        assert built == [slice(k, k + 1) for k in range(41)]
         monkeypatch.undo()
         fallback = empirical_score_fn(ds, params, s0, pol)
         want, *_ = pf_ode_endpoints(params, fallback, grid, rng_seed=5, h=2, runs=6)
