@@ -183,10 +183,11 @@ def _as_batch(mix: EmpiricalMixture, u) -> tuple[np.ndarray, bool]:
     arr = np.asarray(u, dtype=float)
     if arr.shape[-1:] != (mix.order * mix.block_dim,):
         raise ValueError("state shape does not match mixture")
-    batch, times = np.atleast_2d(arr), len(mix.whiten)
+    single, times = arr.ndim == 1, len(mix.whiten)
+    batch = arr[None] if single else arr
     if times not in (1, len(batch)):
         raise ValueError(f"mixture at {times} times does not match {len(batch)} rows")
-    return batch, arr.ndim == 1
+    return batch, single
 
 
 def _log_weights(mix: EmpiricalMixture, u):
