@@ -110,12 +110,20 @@ class _Record:
             raise ConfigError(str(exc)) from None
 
 
+def _int(value) -> int:
+    """An integer, or a string of one.  A float or a bool is an error: int()
+    would truncate 2.7 to 2 and read true as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"want an integer, got {value!r}")
+    return int(value)
+
+
 _DATASET_KINDS = {
     "gaussian_mixture": _Record(
-        GaussianMixtureSpec, {"k": int, "spread": float, "dim": int}
+        GaussianMixtureSpec, {"k": _int, "spread": float, "dim": _int}
     ),
-    "ring": _Record(RingSpec, {"radius": float, "noise": float, "dim": int}),
-    "grid": _Record(GridSpec, {"side": int, "dim": int}),
+    "ring": _Record(RingSpec, {"radius": float, "noise": float, "dim": _int}),
+    "grid": _Record(GridSpec, {"side": _int, "dim": _int}),
     "csv": _Record(CsvFileSpec, {"path": str}),
 }
 
@@ -153,13 +161,11 @@ def parse_dataset(value) -> DatasetSpec:
 def _int_list(value) -> list[int]:
     """An integer, a list of them, or a comma-separated string of them; a
     repeated value is an error, since it would repeat a table row or file."""
-    if isinstance(value, int):
-        return [value]
     if isinstance(value, str):
         value = [v for v in value.split(",") if v.strip()]
-    if not isinstance(value, (list, tuple)):
-        raise TypeError("want an integer or a list of them")
-    ints = [int(v) for v in value]
+    elif not isinstance(value, (list, tuple)):
+        value = [value]
+    ints = [_int(v) for v in value]
     if len(set(ints)) < len(ints):
         raise ValueError(f"repeated value in {ints}")
     return ints
@@ -170,16 +176,16 @@ FIELDS = {
     "orders": _int_list,
     "dataset": parse_dataset,
     "n_train": _int_list,
-    "runs": int,
+    "runs": _int,
     "tau": float,
     "l_inv": float,
     "alpha": float,
     "ou_xi": float,
     "grid": _Record(
-        TimeGrid, {"t_start": float, "t_end": float, "steps": int, "spacing": str}
+        TimeGrid, {"t_start": float, "t_end": float, "steps": _int, "spacing": str}
     ),
     "aux_policy": str,
-    "seed": int,
+    "seed": _int,
     "out_dir": str,
 }
 

@@ -179,23 +179,15 @@ def build_forward_matrix(params: HoldParams) -> BlockMatrix:
     return BlockMatrix(order=n, entries=f)
 
 
-def damped_eigenvalue(f: BlockMatrix) -> float:
-    """The repeated eigenvalue of a critically damped drift matrix.
-
-    Computed as trace/n, which is exact for any matrix whose spectrum is a
-    single n-fold eigenvalue and sidesteps sign conventions.
-    """
-    return float(np.trace(f.entries)) / f.order
-
-
 @lru_cache(maxsize=256)
 def _nilpotent_terms(params: HoldParams) -> tuple[float, tuple[np.ndarray, ...]]:
     """Repeated eigenvalue s* and the Taylor terms N^k / k! (k < n) of the
     nilpotent shift N = F - s* I, cached for the hot paths (covariance
-    propagation, mixtures, samplers); the arrays are treated as immutable."""
-    f = build_forward_matrix(params)
-    entries, n = f.entries, f.order
-    s_star = damped_eigenvalue(f)
+    propagation, mixtures, samplers); the arrays are treated as immutable.
+    s* = trace(F) / n = -xi / n, the friction being F's one diagonal entry;
+    it is ``HoldFilter.pole``."""
+    entries, n = build_forward_matrix(params).entries, params.order
+    s_star = -params.xi / n
     nilp = entries - s_star * np.eye(n)
     terms = [np.eye(n)]
     for k in range(1, n):

@@ -9,8 +9,8 @@ results bit for bit; ``cholesky_block`` is the single-time view of
 ``cholesky_stack``, and ``schedule`` gathers every stacked piece of an
 array of times.  The small-t noise covariance is a cancellation-free sum.
 Factors that need a floor get one fixed rule, 1e-12 of the largest
-diagonal entry, and report the floor they added.  Lifted points and forward
-draws are plain (n*h,) arrays; a (T,) array of times gives (T, n*h) rows.
+diagonal entry, and report the floor they added.  Lifted points are plain
+(n*h,) arrays; ``sample_forward`` draws (n*h, B) columns from a schedule.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import HoldParams, LiftedState, _nilpotent_terms, expm_at, kron_apply
+from .core import HoldParams, _block_apply, _nilpotent_terms, expm_at
 from .errors import NotPositiveSemidefiniteError
 
 
@@ -113,15 +113,17 @@ def covariance_at(params: HoldParams, sigma0: BlockCovariance, t) -> BlockCovari
     smallest eigenvalue falls like t^{2n-1}.  Above, Q_t = l_inv (I - E E^T).
     Each time is computed alone, so it gives the same bits in a stack.
     """
-    if (np.asarray(t) < 0).any():
-        raise ValueError(f"time must be nonnegative, got {t}")
+    t_arr = np.asarray(t, dtype=float)
+    # Written so that NaN fails: every comparison with it is False.
+    if not ((0 <= t_arr) & (t_arr < math.inf)).all():
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
     if sigma0.order != params.order:
         raise ValueError("covariance order does not match params order")
     n = params.order
     e = expm_at(params, t)
     e_t = e.swapaxes(-1, -2)
     s_star, coef, nodes, weights, t_switch = _noise_terms(params)
-    t_col = np.asarray(t, dtype=float)[..., None, None]
+    t_col = t_arr[..., None, None]
     tau = t_col * nodes  # (..., m, 1)
     vecs = tau ** np.arange(n) @ coef  # rows e^{-s* tau} v(tau)
     vecs *= np.exp(s_star * tau) * np.sqrt(weights * t_col)
@@ -221,29 +223,14 @@ def _schedule(params: HoldParams, order: int, small: bytes, times: bytes) -> Sch
     return out
 
 
-def sample_forward(
-    u0: LiftedState,
-    params: HoldParams,
-    sigma0: BlockCovariance,
-    t,
-    rng_seed,
-) -> np.ndarray:
-    """Draw u_t = exp(Ft) u_0 + (L_t x I_h) eps with eps ~ N(0, I_{nh}).
+def sample_forward(sched: Schedule, starts: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Forward draws u_t = (exp(Ft) x I_h) u_0 + (L_t x I_h) eps as (n*h, B)
+    columns, from (n*h, B) columns of starts u_0 and of standard normals.
 
-    Deterministic for a fixed ``rng_seed``; a covariance that is exactly
-    zero yields the mean.  A float t returns an (n*h,) array; a (T,) array
-    of times returns a (T, n*h) array whose noise is one (T, n*h) standard
-    normal draw.
+    ``sched`` holds one time shared by the batch (G = 1) or one time per
+    column (G = B); its factor L_t carries the floor recorded in ``delta``.
     """
-    n, h = params.order, u0.block_dim
-    if u0.order != n:
-        raise ValueError("state order does not match params order")
-    cov = covariance_at(params, sigma0, t)  # rejects negative times
-    mean = kron_apply(expm_at(params, t), u0.data, h)
-    factor, _ = cholesky_stack(cov)
-    eps = np.random.default_rng(rng_seed).standard_normal(mean.shape)
-    zero = ~cov.small.any(axis=(-2, -1))
-    return np.where(zero[..., None], mean, mean + kron_apply(factor, eps, h))
+    return _block_apply(sched.expm, starts) + _block_apply(sched.chol, eps)
 
 
 def lift_data(

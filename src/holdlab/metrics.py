@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _order_params, build_forward_matrix, damped_eigenvalue
+from .core import _nilpotent_terms, _order_params
 from .forward import BlockCovariance, cholesky_stack, covariance_at
 
 
@@ -103,7 +103,7 @@ def det_ratio(n: int, t, xi: float | None = None):
     zero = BlockCovariance(n, np.zeros((n, n)), 0.0)
     factor, delta = cholesky_stack(covariance_at(params, zero, t))
     log_den = 2.0 * np.log(np.diagonal(factor, axis1=-2, axis2=-1)).sum(axis=-1)
-    s_star = damped_eigenvalue(build_forward_matrix(params))
+    s_star, _ = _nilpotent_terms(params)
     log_num = 2 * n * np.log(-np.expm1(s_star * times))
     with np.errstate(over="ignore", under="ignore"):
         ratio = np.exp(log_num - log_den)
@@ -113,16 +113,6 @@ def det_ratio(n: int, t, xi: float | None = None):
     if bad.any():
         raise ValueError(f"det_ratio at order {n}, t={times[bad].flat[0]}: {why}")
     return float(ratio) if ratio.ndim == 0 else ratio
-
-
-def collapse_curve(n_list, t_grid, xi: float = 1.0) -> list[tuple[int, float, float]]:
-    """Determinant-ratio table over (order, time); rows ordered as given."""
-    times = np.asarray(t_grid, dtype=float)
-    rows = []
-    for n in n_list:
-        ratios = det_ratio(int(n), times, xi=xi)
-        rows.extend((int(n), t, r) for t, r in zip(times.tolist(), ratios.tolist()))
-    return rows
 
 
 def _fit_gaussian(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -63,6 +63,7 @@ from .forward import (
     Marginalized,
     Schedule,
     lift_data,
+    sample_forward,
     schedule,
 )
 
@@ -337,8 +338,7 @@ def mc_loss(
         block = slice(lo, lo + _MC_BLOCK)
         t, eps = times[block], noise[block]
         sched = schedule(params, sigma0, t)
-        cols = _block_apply(sched.expm, lifted[picks[block]].T)
-        cols += _block_apply(sched.chol, eps.T)
+        cols = sample_forward(sched, lifted[picks[block]].T, eps.T)
         s = np.broadcast_to(np.asarray(score_fn(cols.T, t), dtype=float), (len(t), h))
         resid = eps[:, -h:] + s * sched.chol[:, -1:, -1]
         total += float(np.einsum("bj,bj->", resid, resid))

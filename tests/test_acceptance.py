@@ -20,7 +20,6 @@ from holdlab import (
     convolution_reconstruct,
     covariance_at,
     critically_damped_params,
-    damped_eigenvalue,
     det_ratio,
     empirical_score_fn,
     fmem,
@@ -33,7 +32,7 @@ from holdlab import (
     score_full,
 )
 from holdlab.cli import FAILURE_BUDGET, main
-from holdlab.core import expm_at
+from holdlab.core import _nilpotent_terms, expm_at
 from holdlab.forward import BlockCovariance
 from holdlab.score import log_density_shifted
 
@@ -62,7 +61,7 @@ def expm_oracle(a: np.ndarray) -> np.ndarray:
 
 def test_criterion_01_critical_damping_closed_forms():
     p2 = critically_damped_params(2)
-    s2 = damped_eigenvalue(build_forward_matrix(p2))
+    s2, _ = _nilpotent_terms(p2)
     err2 = max(abs(p2.gammas[0] - 1.0), abs(p2.xi - 2.0), abs(s2 + 1.0))
     p3 = critically_damped_params(3)
     err3 = max(

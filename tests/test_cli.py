@@ -869,3 +869,14 @@ class TestEnvSeed:
             assert main(argv + ["--out-dir", str(out)]) == 0
             resolved = json.loads((out / "resolved_config.json").read_text())
             assert resolved["seed"] == 0
+
+
+@pytest.mark.parametrize("diverged, code", [(0, 0), (1, 3)])
+def test_finish_exits_3_from_one_percent(tmp_path, capsys, diverged, code):
+    # One cell of 100 runs: a single diverged run is 1 %, which reaches the
+    # failure budget.
+    config = ExperimentConfig(orders=[2], n_train=[8], runs=100)
+    rows = [[2, run, 7] for run in range(diverged)]
+    assert cli._finish(config, tmp_path, ["order", "run", "step"], rows) == code
+    assert len((tmp_path / "failures.csv").read_text().splitlines()) == 1 + diverged
+    assert capsys.readouterr().err == ("error: 1/100 runs diverged\n" if diverged else "")

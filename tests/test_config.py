@@ -66,6 +66,33 @@ class TestConfigFromDict:
         assert config_from_dict({"n_train": 16}).n_train == [16]
         assert config_from_dict({"n_train": [4, 8]}).n_train == [4, 8]
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"runs": 2.7},
+            {"runs": True},
+            {"seed": 1.5},
+            {"grid": {"steps": 5.9}},
+            {"orders": [True]},
+            {"orders": 2.0},
+            {"n_train": [8, 16.0]},
+            {"dataset": {"kind": "gaussian_mixture", "k": 4.0}},
+            {"dataset": {"kind": "gaussian_mixture", "dim": 2.5}},
+            {"dataset": {"kind": "ring", "radius": 1.0, "noise": 0.1, "dim": False}},
+            {"dataset": {"kind": "grid", "side": 3.2}},
+            {"dataset": {"kind": "grid", "side": 3, "dim": 1.0}},
+        ],
+    )
+    def test_integer_fields_reject_floats_and_bools(self, doc):
+        # int() would truncate 2.7 to 2 and read true as 1.
+        with pytest.raises(ConfigError, match="want an integer"):
+            config_from_dict(doc)
+
+    def test_integer_fields_take_integer_strings(self):
+        cfg = config_from_dict({"runs": "3", "seed": "2", "orders": "1, 2",
+                                "grid": {"steps": "5"}})
+        assert (cfg.runs, cfg.seed, cfg.orders, cfg.grid.steps) == (3, 2, [1, 2], 5)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             config_from_dict({"runs": 0})

@@ -18,10 +18,8 @@ from holdlab import (
     NotCriticallyDampedError,
     build_forward_matrix,
     critically_damped_params,
-    damped_eigenvalue,
-    kron_apply,
 )
-from holdlab.core import expm_at
+from holdlab.core import _nilpotent_terms, expm_at, kron_apply
 
 
 def expm_oracle(a: np.ndarray) -> np.ndarray:
@@ -138,17 +136,27 @@ class TestForwardMatrix:
 
 
 class TestDampedEigenvalue:
+    # The repeated eigenvalue s* as the code uses it: from _nilpotent_terms.
     @pytest.mark.parametrize(
         "n,expected", [(2, -1.0), (3, -math.sqrt(3.0)), (4, -math.sqrt(5.0))]
     )
     def test_values(self, n, expected):
-        f = build_forward_matrix(critically_damped_params(n))
-        assert abs(damped_eigenvalue(f) - expected) <= 1e-12
+        s_star, _ = _nilpotent_terms(critically_damped_params(n))
+        assert abs(s_star - expected) <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_negative(self, n):
-        f = build_forward_matrix(critically_damped_params(n))
-        assert damped_eigenvalue(f) < 0
+        s_star, _ = _nilpotent_terms(critically_damped_params(n))
+        assert s_star < 0
+
+    @pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+    def test_is_trace_over_order_and_the_filter_pole(self, n):
+        # -xi/n equals trace(F)/n bit for bit: the friction is F's only
+        # nonzero diagonal entry.
+        p = HoldParams(1, (), 1.5, 1.0) if n == 1 else critically_damped_params(n)
+        s_star, _ = _nilpotent_terms(p)
+        assert s_star == float(np.trace(build_forward_matrix(p).entries)) / n
+        assert s_star == filters.HoldFilter.from_params(p).pole
 
 
 class TestMatrixExponential:
@@ -219,8 +227,9 @@ class TestMatrixExponential:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_nilpotency(self, n):
-        f = build_forward_matrix(critically_damped_params(n))
-        s_star = damped_eigenvalue(f)
+        p = critically_damped_params(n)
+        f = build_forward_matrix(p)
+        s_star, _ = _nilpotent_terms(p)
         nilp = f.entries - s_star * np.eye(n)
         power = np.linalg.matrix_power(nilp, n)
         bound = 1e-10 * max(1.0, np.linalg.norm(f.entries) ** n)
@@ -264,8 +273,9 @@ class TestCharPoly:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_equals_shifted_power(self, n):
-        f = build_forward_matrix(critically_damped_params(n))
-        s_star = damped_eigenvalue(f)
+        p = critically_damped_params(n)
+        f = build_forward_matrix(p)
+        s_star, _ = _nilpotent_terms(p)
         rng = np.random.default_rng(5 + n)
         for _ in range(8):
             s = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -345,8 +355,9 @@ class TestStateAndKron:
 
 class TestPublicApi:
     # Names deleted from the package: the order-1 filter, score and sampler
-    # copies, the second matrix-exponential route, the single-run samplers
-    # and the first-order reverse SDE.
+    # copies, the second matrix-exponential route, the single-run samplers,
+    # the first-order reverse SDE, the second s* route and the collapse
+    # table helper with one caller.
     REMOVED = (
         "OuFilter",
         "FilterSpec",
@@ -361,6 +372,8 @@ class TestPublicApi:
         "loss_weight",
         "mahalanobis_sq",
         "ou_sde_endpoints",
+        "damped_eigenvalue",
+        "collapse_curve",
     )
 
     def test_all_is_unique_and_resolves(self):
@@ -378,6 +391,8 @@ class TestPublicApi:
         assert not hasattr(BlockMatrix(1, np.zeros((1, 1))), "block_dim")
         for helper in ("from_blocks", "position", "last_block", "block"):
             assert not hasattr(LiftedState, helper), helper
+        # Internal now: _block_apply and the benchmark tracer use it.
+        assert "kron_apply" not in holdlab.__all__ and callable(core.kron_apply)
 
     def test_single_value_parameters_are_gone(self):
         # Each of these had one value at every caller; it is now fixed.

@@ -6,22 +6,24 @@ import numpy as np
 import pytest
 
 from holdlab import (
+    T_EPS,
     BlockCovariance,
+    Dataset,
     FixedPerSample,
     HoldParams,
-    LiftedState,
     Marginalized,
     NotPositiveSemidefiniteError,
     build_forward_matrix,
     cholesky_block,
     covariance_at,
     critically_damped_params,
+    det_ratio,
     initial_covariance,
-    kron_apply,
     lift_data,
+    mc_loss,
     sample_forward,
 )
-from holdlab.core import expm_at
+from holdlab.core import expm_at, kron_apply
 from holdlab.forward import cholesky_stack, schedule
 
 
@@ -106,6 +108,18 @@ class TestCovarianceAt:
         p = critically_damped_params(2)
         with pytest.raises(ValueError):
             covariance_at(p, zero_cov(2), -0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        # Each is named as the bad time, not left to fail the symmetry check
+        # of the covariance it would produce.
+        p = critically_damped_params(2)
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            covariance_at(p, zero_cov(2), bad)
+        with pytest.raises(ValueError, match=f"got .*{bad}"):
+            schedule(p, zero_cov(2), [0.5, bad])
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            det_ratio(2, bad)
 
     def test_symmetry_validation(self):
         with pytest.raises(ValueError):
@@ -293,43 +307,33 @@ class TestSchedule:
 
 
 class TestSampleForward:
-    def test_t_zero_point_mass_exact(self):
-        p = critically_damped_params(2)
-        u0 = LiftedState(2, 2, [1.0, -2.0, 0.5, 0.25])
-        out = sample_forward(u0, p, zero_cov(2), 0.0, rng_seed=4)
-        assert type(out) is np.ndarray and out.shape == (4,)
-        assert np.array_equal(out, u0.data)
-
-    def test_seed_determinism(self):
-        p = critically_damped_params(3)
-        s0 = initial_covariance(p, Marginalized())
-        u0 = LiftedState(3, 1, np.array([1.0, 0.0, 0.0]))
-        a = sample_forward(u0, p, s0, 0.7, rng_seed=123)
-        b = sample_forward(u0, p, s0, 0.7, rng_seed=123)
-        assert np.array_equal(a, b)
-        c = sample_forward(u0, p, s0, 0.7, rng_seed=124)
-        assert not np.array_equal(a, c)
-
     @pytest.mark.parametrize("t", [0.0, 1e-3, 0.37, 2.5])
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_float_time_is_the_row_of_a_one_time_path(self, n, t):
+        # The draw from the schedule of one time is the draw built from the
+        # float-time pieces expm_at, covariance_at and cholesky_block at t,
+        # bit for bit; at t = 0 both carry the zero covariance's floor.
         p = HoldParams(1, (), 1.5, 1.0) if n == 1 else critically_damped_params(n)
         s0 = initial_covariance(p, FixedPerSample(seed=1))
-        u0 = LiftedState(n, 3, np.arange(3.0 * n))
-        got = sample_forward(u0, p, s0, t, rng_seed=[4, 2])
-        path = sample_forward(u0, p, s0, np.array([t]), rng_seed=[4, 2])
-        assert type(got) is np.ndarray and got.shape == (3 * n,)
-        assert np.array_equal(got, path[0])
+        u0 = np.arange(3.0 * n)
+        eps = np.random.default_rng([4, 2]).standard_normal(3 * n)
+        got = sample_forward(schedule(p, s0, [t]), u0[:, None], eps[:, None])
+        factor, _ = cholesky_block(covariance_at(p, s0, t))
+        want = kron_apply(expm_at(p, t), u0, 3) + kron_apply(factor, eps, 3)
+        assert got.shape == (3 * n, 1)
+        assert np.array_equal(got[:, 0], want)
 
     def test_monte_carlo_moments(self):
         p = critically_damped_params(2, l_inv=1.0)
         s0 = zero_cov(2)
-        u0 = LiftedState(2, 1, np.array([1.0, -0.5]))
+        u0 = np.array([1.0, -0.5])
         t = 1.0
         n_draws = 100_000
-        draws = sample_forward(u0, p, s0, np.full(n_draws, t), rng_seed=555)
+        starts = np.broadcast_to(u0[:, None], (2, n_draws))
+        eps = np.random.default_rng(555).standard_normal((2, n_draws))
+        draws = sample_forward(schedule(p, s0, [t]), starts, eps).T
         e = expm_at(p, t)
-        mean_want = e @ u0.data
+        mean_want = e @ u0
         cov_want = covariance_at(p, s0, t).small
         for j in range(2):
             tol = 4.0 * math.sqrt(cov_want[j, j] / n_draws)
@@ -338,22 +342,25 @@ class TestSampleForward:
         assert np.abs(cov_got - cov_want).max() <= 0.05 * np.abs(cov_want).max()
 
     def test_vector_times(self):
-        # One (T, n*h) noise block from the seed; zero-covariance rows are
-        # the mean; every other row is mean + (L_t x I_h) eps_row.
+        # One time per column (G = B) or one time shared by the batch
+        # (G = 1): column b is (exp(Ft) x I_h) u0_b + (L_t x I_h) eps_b.
         p = critically_damped_params(2)
-        u0 = LiftedState(2, 2, [1.0, -2.0, 0.5, 0.25])
         times = np.array([0.0, 0.3, 1.2])
-        got = sample_forward(u0, p, zero_cov(2), times, rng_seed=9)
-        assert got.shape == (3, 4)
-        assert np.array_equal(got[0], u0.data)
-        eps = np.random.default_rng(9).standard_normal((3, 4))
-        for i in (1, 2):
-            t = float(times[i])
+        starts, eps = np.random.default_rng(9).standard_normal((2, 4, 3))
+
+        def want(t, b):
             factor, _ = cholesky_block(covariance_at(p, zero_cov(2), t))
-            want = kron_apply(expm_at(p, t), u0.data, 2) + kron_apply(factor, eps[i], 2)
-            assert np.array_equal(got[i], want)
+            mean = kron_apply(expm_at(p, t), starts[:, b], 2)
+            return mean + kron_apply(factor, eps[:, b], 2)
+
+        per_column = sample_forward(schedule(p, zero_cov(2), times), starts, eps)
+        shared = sample_forward(schedule(p, zero_cov(2), times[1:2]), starts, eps)
+        assert per_column.shape == shared.shape == (4, 3)
+        for b, t in enumerate(times.tolist()):
+            assert np.array_equal(per_column[:, b], want(t, b))
+            assert np.array_equal(shared[:, b], want(0.3, b))
         with pytest.raises(ValueError):
-            sample_forward(u0, p, zero_cov(2), np.array([0.1, -0.1]), rng_seed=9)
+            schedule(p, zero_cov(2), np.array([0.1, -0.1]))
 
     def test_kronecker_consistency(self):
         # Sampling at block scale then lifting equals sampling with the dense
@@ -362,8 +369,9 @@ class TestSampleForward:
         s0 = initial_covariance(p, Marginalized())
         t = 0.8
         h = 2
-        u0 = LiftedState(2, 2, [0.3, -1.1, 0.0, 0.0])
-        got = sample_forward(u0, p, s0, t, rng_seed=777)
+        u0 = np.array([0.3, -1.1, 0.0, 0.0])
+        eps = np.random.default_rng(777).standard_normal(2 * h)
+        got = sample_forward(schedule(p, s0, [t]), u0[:, None], eps[:, None])[:, 0]
 
         e = expm_at(p, t)
         cov = covariance_at(p, s0, t)
@@ -371,9 +379,37 @@ class TestSampleForward:
         dense_cov = np.kron(cov.small, np.eye(h))
         dense_factor = np.linalg.cholesky(dense_cov)
         assert np.abs(dense_factor - np.kron(factor, np.eye(h))).max() <= 1e-12
-        eps = np.random.default_rng(777).standard_normal(2 * h)
-        dense = np.kron(e, np.eye(h)) @ u0.data + dense_factor @ eps
+        dense = np.kron(e, np.eye(h)) @ u0 + dense_factor @ eps
         assert np.abs(got - dense).max() <= 1e-12
+
+    @pytest.mark.parametrize("policy", [FixedPerSample(seed=3), Marginalized()])
+    def test_mc_loss_draws_through_it(self, policy):
+        # mc_loss's stream gives each sample a time, a training point and
+        # its noise, in that order; a block of 256 samples is one draw.
+        p = critically_damped_params(3)
+        s0 = initial_covariance(p, policy)
+        ds = Dataset(np.random.default_rng(1).standard_normal((5, 2)))
+        seen = []
+
+        def spy(u, t):
+            seen.append(u.copy())
+            return np.zeros(2)
+
+        n_mc = 300
+        mc_loss(spy, ds, p, s0, policy, n_mc, rng_seed=7)
+        rng = np.random.default_rng(7)
+        times, picks, eps = np.empty(n_mc), np.empty(n_mc, dtype=int), np.empty((n_mc, 6))
+        for i in range(n_mc):
+            times[i] = rng.uniform(T_EPS, 1.0)
+            picks[i] = rng.integers(5)
+            eps[i] = rng.standard_normal(6)
+        lifted = ds.lifted(p, policy)
+        assert [len(u) for u in seen] == [256, 44]
+        for got, lo in zip(seen, (0, 256)):
+            k = slice(lo, lo + 256)
+            sched = schedule(p, s0, times[k])
+            want = sample_forward(sched, lifted[picks[k]].T, eps[k].T).T
+            assert np.array_equal(got, want)
 
 
 class TestLiftData:

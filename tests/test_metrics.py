@@ -10,11 +10,11 @@ from holdlab import (
     BlockCovariance,
     LiftedState,
     cholesky_block,
-    collapse_curve,
     det_ratio,
     fmem,
     gaussian_w2,
 )
+from holdlab.cli import main
 from holdlab.core import build_forward_matrix, critically_damped_params
 
 
@@ -262,16 +262,28 @@ class TestDetRatio:
             det_ratio(0, 0.5)
 
 
+def collapse_table(tmp_path, orders, t_min, t_max, points):
+    """The (n, t, ratio) rows of ``holdlab collapse`` over the log grid."""
+    out = tmp_path / "collapse.csv"
+    argv = ["collapse", "--orders", ",".join(map(str, orders)), "--t-min",
+            str(t_min), "--t-max", str(t_max), "--t-points", str(points),
+            "--out", str(out)]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    return [(int(n), float(t), float(r)) for n, t, r in rows]
+
+
 class TestCollapseCurve:
-    def test_row_count_and_order(self):
-        t_grid = np.logspace(-3, 1, 17)
-        rows = collapse_curve([1, 2, 3, 4], t_grid)
+    def test_row_count_and_order(self, tmp_path):
+        rows = collapse_table(tmp_path, [1, 2, 3, 4], 1e-3, 10.0, 17)
         assert len(rows) == 4 * 17
         assert rows[0][0] == 1 and rows[-1][0] == 4
+        # Each order's rows are det_ratio over the grid, to the last bit.
+        t_grid = np.logspace(-3, 1, 17)
+        assert [r for n, _, r in rows if n == 3] == det_ratio(3, t_grid).tolist()
 
-    def test_figure_shape(self):
-        t_grid = np.logspace(-3, 1, 40)
-        rows = collapse_curve([1, 2, 3], t_grid)
+    def test_figure_shape(self, tmp_path):
+        rows = collapse_table(tmp_path, [1, 2, 3], 1e-3, 10.0, 40)
         by_n = {}
         for n, t, v in rows:
             by_n.setdefault(n, []).append(v)
@@ -282,9 +294,10 @@ class TestCollapseCurve:
         assert by_n[3][0] > by_n[3][10] > by_n[3][-1]
         assert by_n[3][0] > 1e6
 
-    def test_order3_exceeds_order2_at_small_t(self):
+    def test_order3_exceeds_order2_at_small_t(self, tmp_path):
         rows = dict(
-            ((n, round(t, 6)), v) for n, t, v in collapse_curve([2, 3], [1e-2])
+            ((n, round(t, 6)), v)
+            for n, t, v in collapse_table(tmp_path, [2, 3], 1e-2, 1e-2, 1)
         )
         assert rows[(3, 1e-2)] > rows[(2, 1e-2)]
 

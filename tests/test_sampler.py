@@ -16,12 +16,11 @@ from holdlab import (
     critically_damped_params,
     empirical_score_fn,
     initial_covariance,
-    kron_apply,
     pf_ode_endpoints,
     sample_prior,
 )
 from holdlab import cli, sampler
-from holdlab.core import _order_params, expm_at
+from holdlab.core import _order_params, expm_at, kron_apply
 from holdlab.datasets import GaussianMixtureSpec, training_points
 from holdlab.forward import schedule
 

@@ -20,7 +20,6 @@ from holdlab import (
     empirical_score_fn,
     cholesky_block,
     initial_covariance,
-    kron_apply,
     mc_loss,
     mixture_at,
     pf_ode_endpoints,
@@ -30,7 +29,7 @@ from holdlab import (
 )
 from holdlab import forward
 from holdlab import score as score_module
-from holdlab.core import expm_at
+from holdlab.core import expm_at, kron_apply
 from holdlab.datasets import GaussianMixtureSpec, training_points
 from holdlab.forward import schedule
 from holdlab.score import EmpiricalMixture, log_density_shifted
