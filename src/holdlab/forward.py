@@ -230,6 +230,12 @@ def sample_forward(sched: Schedule, starts: np.ndarray, eps: np.ndarray) -> np.n
     ``sched`` holds one time shared by the batch (G = 1) or one time per
     column (G = B); its factor L_t carries the floor recorded in ``delta``.
     """
+    times = len(sched.expm)
+    if starts.ndim != 2 or starts.shape != eps.shape or times not in (1, eps.shape[1]):
+        raise ValueError(
+            f"schedule at {times} times does not match starts {starts.shape}"
+            f" and eps {eps.shape}"
+        )
     return _block_apply(sched.expm, starts) + _block_apply(sched.chol, eps)
 
 

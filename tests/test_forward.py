@@ -362,6 +362,22 @@ class TestSampleForward:
         with pytest.raises(ValueError):
             schedule(p, zero_cov(2), np.array([0.1, -0.1]))
 
+    def test_shapes_must_match_the_schedule(self):
+        # (n*h, B) columns for both inputs, at one time or at B times; all
+        # but the second of these would otherwise broadcast silently.
+        p = critically_damped_params(2)
+        one = schedule(p, zero_cov(2), [0.1])
+        three = schedule(p, zero_cov(2), [0.1, 0.2, 0.3])
+        for sched, starts, eps in [
+            (three, np.ones((4, 1)), np.zeros((4, 1))),
+            (three, np.ones((4, 2)), np.zeros((4, 2))),
+            (one, np.ones((4, 3)), np.zeros((4, 1))),
+            (one, np.ones(4), np.zeros(4)),
+        ]:
+            with pytest.raises(ValueError, match="does not match"):
+                sample_forward(sched, starts, eps)
+        assert sample_forward(three, np.ones((4, 3)), np.zeros((4, 3))).shape == (4, 3)
+
     def test_kronecker_consistency(self):
         # Sampling at block scale then lifting equals sampling with the dense
         # nh x nh covariance: chol(kron(S, I)) == kron(chol(S), I).
