@@ -131,6 +131,14 @@ def _block_apply(mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return kron_apply(mat, cols.T, len(cols) // n).T
 
 
+def _require_seed(rng_seed):
+    """Return ``rng_seed``, refusing None: ``np.random.default_rng(None)``
+    draws OS entropy, and every seeded draw is deterministic given its seed."""
+    if rng_seed is None:
+        raise ValueError("rng_seed must be an int or a sequence of ints, not None")
+    return rng_seed
+
+
 def critically_damped_params(
     n: int, l_inv: float = 1.0, alpha: float = 1.0
 ) -> HoldParams:

@@ -113,6 +113,12 @@ def covariance_at(params: HoldParams, sigma0: BlockCovariance, t) -> BlockCovari
     smallest eigenvalue falls like t^{2n-1}.  Above, Q_t = l_inv (I - E E^T).
     Each time is computed alone, so it gives the same bits in a stack.
     """
+    return _expm_and_covariance(params, sigma0, t)[1]
+
+
+def _expm_and_covariance(params: HoldParams, sigma0: BlockCovariance, t):
+    """``(exp(Ft), Sigma_t)``: ``covariance_at`` with the exp(Ft) it builds,
+    so a ``schedule`` computes ``expm_at`` once per time."""
     t_arr = np.asarray(t, dtype=float)
     # Written so that NaN fails: every comparison with it is False.
     if not ((0 <= t_arr) & (t_arr < math.inf)).all():
@@ -131,7 +137,7 @@ def covariance_at(params: HoldParams, sigma0: BlockCovariance, t) -> BlockCovari
     noise = np.where(t_col < t_switch, quad, params.l_inv * (np.eye(n) - e @ e_t))
     small = e @ sigma0.small @ e_t + noise
     small = 0.5 * (small + small.swapaxes(-1, -2))
-    return BlockCovariance(order=n, small=small, t=t)
+    return e, BlockCovariance(order=n, small=small, t=t)
 
 
 def cholesky_stack(cov: BlockCovariance) -> tuple[np.ndarray, np.ndarray]:
@@ -215,9 +221,9 @@ def schedule(params: HoldParams, sigma0: BlockCovariance, times) -> Schedule:
 def _schedule(params: HoldParams, order: int, small: bytes, times: bytes) -> Schedule:
     sigma0 = BlockCovariance(order, np.frombuffer(small).reshape(order, order), 0.0)
     t = np.frombuffer(times)
-    cov = covariance_at(params, sigma0, t)
+    expm, cov = _expm_and_covariance(params, sigma0, t)
     factor, delta = cholesky_stack(cov)
-    out = Schedule(expm_at(params, t), cov, factor, np.linalg.inv(factor), delta)
+    out = Schedule(expm, cov, factor, np.linalg.inv(factor), delta)
     for arr in (out.expm, cov.small, factor, out.chol_inv, delta):
         arr.flags.writeable = False
     return out

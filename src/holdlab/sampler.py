@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HoldParams, T_EPS, _block_apply, build_forward_matrix
+from .core import HoldParams, T_EPS, _block_apply, _require_seed, build_forward_matrix
 
 DIVERGENCE_GUARD = 1e6
 
@@ -57,7 +57,7 @@ class TimeGrid:
 
 def sample_prior(params: HoldParams, h: int, rng_seed) -> np.ndarray:
     """Stationary prior draw u_T ~ N(0, l_inv I_{nh}), an (n*h,) array."""
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_require_seed(rng_seed))
     return math.sqrt(params.l_inv) * rng.standard_normal(params.order * h)
 
 
@@ -121,7 +121,7 @@ def pf_ode_endpoints(
         out[-h:] -= gain * np.asarray(score_fn(cols.T, t), dtype=float).T
         return out
 
-    chain = list(rng_seed) if isinstance(rng_seed, (list, tuple)) else [rng_seed]
+    chain = list(rng_seed) if isinstance(rng_seed, (list, tuple)) else [_require_seed(rng_seed)]
     start = [sample_prior(params, h, chain + [i]) for i in range(runs)]
     state, ok, failures = _integrate(drift, grid.times(), np.stack(start, axis=1))
     return np.ascontiguousarray(state[:h].T), ok, failures

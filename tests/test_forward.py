@@ -23,6 +23,7 @@ from holdlab import (
     mc_loss,
     sample_forward,
 )
+from holdlab import forward
 from holdlab.core import expm_at, kron_apply
 from holdlab.forward import cholesky_stack, schedule
 
@@ -304,6 +305,32 @@ class TestSchedule:
         p = critically_damped_params(2)
         with pytest.raises(ValueError):
             schedule(p, zero_cov(2), 0.5)
+
+    def test_builds_expm_once(self, monkeypatch):
+        # The covariance's exp(Ft) is the schedule's expm.
+        p = critically_damped_params(3)
+        s0 = initial_covariance(p, FixedPerSample(seed=0))
+        calls = []
+
+        def counting(params, t):
+            calls.append(np.shape(t))
+            return expm_at(params, t)
+
+        monkeypatch.setattr(forward, "expm_at", counting)
+        forward._schedule.cache_clear()
+        sched = schedule(p, s0, np.array([1e-3, 0.5, 2.0]))
+        assert calls == [(3,)]
+        assert np.array_equal(sched.expm, expm_at(p, sched.times))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_times(self, t):
+        p = critically_damped_params(2)
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            schedule(p, zero_cov(2), np.array([0.5, t]))
+
+    def test_rejects_mismatched_order(self):
+        with pytest.raises(ValueError, match="order"):
+            schedule(critically_damped_params(3), zero_cov(2), np.array([0.5]))
 
 
 class TestSampleForward:

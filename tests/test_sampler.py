@@ -165,6 +165,11 @@ class TestSamplePrior:
         assert type(a) is np.ndarray and a.shape == (6,)
         assert np.array_equal(a, b)
 
+    def test_rejects_a_missing_seed(self):
+        # None would draw OS entropy: two draws would differ.
+        with pytest.raises(ValueError, match="rng_seed"):
+            sample_prior(critically_damped_params(2), 1, None)
+
     def test_l_inv_scaling(self):
         params = critically_damped_params(2, l_inv=4.0)
         draws = np.stack([sample_prior(params, 1, [3, i]) for i in range(20_000)])
@@ -191,6 +196,12 @@ class TestPfOdeGenerate:
         ends, ok, _ = pf_ode_endpoints(params, fn, TimeGrid(), rng_seed=8, h=1, runs=1)
         assert ok.all()
         assert abs(ends[0, 0] - 1.5) <= 1e-2
+
+    def test_rejects_a_missing_seed(self):
+        params = critically_damped_params(2)
+        with pytest.raises(ValueError, match="rng_seed"):
+            pf_ode_endpoints(params, lambda u, t: np.zeros((len(u), 1)), TimeGrid(steps=2),
+                             rng_seed=None, h=1, runs=2)
 
     def test_determinism(self):
         params = critically_damped_params(2)
