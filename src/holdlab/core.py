@@ -131,12 +131,16 @@ def _block_apply(mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return kron_apply(mat, cols.T, len(cols) // n).T
 
 
-def _require_seed(rng_seed):
-    """Return ``rng_seed``, refusing None: ``np.random.default_rng(None)``
-    draws OS entropy, and every seeded draw is deterministic given its seed."""
-    if rng_seed is None:
-        raise ValueError("rng_seed must be an int or a sequence of ints, not None")
-    return rng_seed
+def _require_seed(rng_seed) -> list:
+    """``rng_seed`` as a list for ``np.random.default_rng``: an int s gives
+    [s], which seeds the same stream as s, and a sequence of ints its list.
+    None (OS entropy), a Generator and a BitGenerator (a draw would advance
+    it) are refused, so every seeded draw is deterministic given its seed."""
+    if isinstance(rng_seed, (int, np.integer)):
+        return [rng_seed]
+    if isinstance(rng_seed, (list, tuple, np.ndarray)):
+        return list(rng_seed)
+    raise ValueError(f"rng_seed must be an int or a sequence of ints, not {rng_seed!r}")
 
 
 def critically_damped_params(

@@ -121,7 +121,7 @@ def pf_ode_endpoints(
         out[-h:] -= gain * np.asarray(score_fn(cols.T, t), dtype=float).T
         return out
 
-    chain = list(rng_seed) if isinstance(rng_seed, (list, tuple)) else [_require_seed(rng_seed)]
+    chain = _require_seed(rng_seed)
     start = [sample_prior(params, h, chain + [i]) for i in range(runs)]
     state, ok, failures = _integrate(drift, grid.times(), np.stack(start, axis=1))
     return np.ascontiguousarray(state[:h].T), ok, failures

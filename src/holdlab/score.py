@@ -304,52 +304,6 @@ def empirical_score_fn(
     return fn
 
 
-def _mc_draws(rng: np.random.Generator, n_mc: int, n_train: int, dim: int):
-    """``(times, picks, noise)``: the (n_mc,) times, (n_mc,) training indices
-    and (n_mc, dim) standard normals of ``rng.uniform(T_EPS, 1.0)``,
-    ``rng.integers(n_train)`` and ``rng.standard_normal(dim)`` taken in turn
-    per sample, bit for bit, leaving ``rng`` in the same state.
-
-    A time is ``rng.random()`` mapped after the loop by the arithmetic of
-    ``uniform``.  An index below 2**32 is Lemire's rule on 32-bit words, as
-    numpy draws it: ``m = word * n_train``, redrawn while its low 32 bits
-    fall below ``(2**32 - n_train) % n_train``, index ``m >> 32`` (none
-    drawn at n_train = 1).  PCG64 hands out each 64-bit output as its low
-    word, then caches the high word for the next 32-bit request; ``random``
-    and ``standard_normal`` take whole outputs and leave that cache alone,
-    so it is kept here and written back to the state at the end.
-    """
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.PCG64) or not 1 <= n_train <= 2**32:
-        raise ValueError("draws need a PCG64 generator and 1 <= n_train <= 2**32")
-    times, picks = np.empty(n_mc), np.zeros(n_mc, dtype=int)
-    noise = np.empty((n_mc, dim))
-    state = bits.state
-    high, pending = state["uinteger"], bool(state["has_uint32"])
-    threshold = (2**32 - n_train) % n_train
-    random, raw, normal = rng.random, bits.random_raw, rng.standard_normal
-    for i in range(n_mc):
-        times[i] = random()
-        if n_train > 1:
-            while True:
-                if pending:
-                    word, pending = high, False
-                else:
-                    word = raw()
-                    word, high, pending = word & 0xFFFFFFFF, word >> 32, True
-                m = word * n_train
-                if m & 0xFFFFFFFF >= threshold:
-                    break
-            picks[i] = m >> 32
-        normal(out=noise[i])
-    state = bits.state
-    state["has_uint32"], state["uinteger"] = int(pending), high
-    bits.state = state
-    times *= 1.0 - T_EPS
-    times += T_EPS
-    return times, picks, noise
-
-
 def mc_loss(
     score_fn,
     dataset: Dataset,
@@ -362,19 +316,21 @@ def mc_loss(
     """Monte Carlo estimate of the denoising loss E||eps_n + s(u_t, t) w_t||^2.
 
     Each sample draws t ~ U(T_EPS, 1), a training point, and a full noise
-    vector; w_t is the bottom-right entry of the block Cholesky factor.
-    Deterministic given ``rng_seed`` (one stream, fixed consumption order;
-    None, which would draw OS entropy, is refused), so different score
-    functions compare on matched noise.  ``score_fn``
-    gets blocks of samples with their (B,) times; an (h,) return is
-    broadcast over the block.
+    vector (three vectorized draws: all times, all indices, all noise);
+    w_t is the bottom-right entry of the block Cholesky factor.  Seeds are
+    ints and sequences of ints (None, Generator and BitGenerator are
+    refused), so the loss is deterministic given ``rng_seed`` and different
+    score functions compare on matched noise.  ``score_fn`` gets blocks of
+    samples with their (B,) times; an (h,) return is broadcast over it.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     n, h = params.order, dataset.h
     lifted = dataset.lifted(params, policy)
     rng = np.random.default_rng(_require_seed(rng_seed))
-    times, picks, noise = _mc_draws(rng, n_mc, dataset.n_train, n * h)
+    times = rng.uniform(T_EPS, 1.0, n_mc)
+    picks = rng.integers(dataset.n_train, size=n_mc)
+    noise = rng.standard_normal((n_mc, n * h))
     total = 0.0
     for lo in range(0, n_mc, _MC_BLOCK):
         block = slice(lo, lo + _MC_BLOCK)

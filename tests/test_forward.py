@@ -427,8 +427,8 @@ class TestSampleForward:
 
     @pytest.mark.parametrize("policy", [FixedPerSample(seed=3), Marginalized()])
     def test_mc_loss_draws_through_it(self, policy):
-        # mc_loss's stream gives each sample a time, a training point and
-        # its noise, in that order; a block of 256 samples is one draw.
+        # mc_loss's stream is three draws: every time, every training
+        # index, then every noise vector; a block of 256 samples is one draw.
         p = critically_damped_params(3)
         s0 = initial_covariance(p, policy)
         ds = Dataset(np.random.default_rng(1).standard_normal((5, 2)))
@@ -441,11 +441,9 @@ class TestSampleForward:
         n_mc = 300
         mc_loss(spy, ds, p, s0, policy, n_mc, rng_seed=7)
         rng = np.random.default_rng(7)
-        times, picks, eps = np.empty(n_mc), np.empty(n_mc, dtype=int), np.empty((n_mc, 6))
-        for i in range(n_mc):
-            times[i] = rng.uniform(T_EPS, 1.0)
-            picks[i] = rng.integers(5)
-            eps[i] = rng.standard_normal(6)
+        times = rng.uniform(T_EPS, 1.0, n_mc)
+        picks = rng.integers(5, size=n_mc)
+        eps = rng.standard_normal((n_mc, 6))
         lifted = ds.lifted(p, policy)
         assert [len(u) for u in seen] == [256, 44]
         for got, lo in zip(seen, (0, 256)):

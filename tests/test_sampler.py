@@ -16,6 +16,7 @@ from holdlab import (
     critically_damped_params,
     empirical_score_fn,
     initial_covariance,
+    mc_loss,
     pf_ode_endpoints,
     sample_prior,
 )
@@ -210,6 +211,13 @@ class TestPfOdeGenerate:
         b = flow_state(params, grid, 3)
         assert np.array_equal(a, b)
 
+    def test_int_seed_is_its_one_element_list(self):
+        # An int seed s and [s] seed the same stream (s, i) for run i.
+        params, fn, grid = TestColumnLayout.setup_case(3, FixedPerSample(seed=2), "quadratic", 2)
+        a = pf_ode_endpoints(params, fn, grid, rng_seed=5, h=2, runs=6)
+        b = pf_ode_endpoints(params, fn, grid, rng_seed=[5], h=2, runs=6)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2] == b[2]
+
     @pytest.mark.parametrize("slope", [-2.0], ids=["heun--2.0"])
     def test_integrator_order(self, slope):
         params = critically_damped_params(2)
@@ -226,6 +234,24 @@ class TestPfOdeGenerate:
             errors.append(np.linalg.norm(end - u_ref))
         fit = np.polyfit(np.log(step_counts), np.log(errors), 1)[0]
         assert abs(fit - slope) <= 0.3
+
+
+@pytest.mark.parametrize("make", [np.random.default_rng, np.random.PCG64],
+                         ids=["Generator", "BitGenerator"])
+@pytest.mark.parametrize("entry", ["mc_loss", "sample_prior", "pf_ode_endpoints"])
+def test_seeded_entry_points_refuse_a_generator(entry, make):
+    # The draw would advance the caller's generator: two calls would differ.
+    params, pol = critically_damped_params(2), Marginalized()
+    s0 = initial_covariance(params, pol)
+    ds = Dataset(np.array([[1.0], [-1.0]]))
+    calls = {
+        "mc_loss": lambda seed: mc_loss(zero_score(1), ds, params, s0, pol, 4, seed),
+        "sample_prior": lambda seed: sample_prior(params, 1, seed),
+        "pf_ode_endpoints": lambda seed: pf_ode_endpoints(
+            params, zero_score(1), TimeGrid(steps=2), rng_seed=seed, h=1, runs=2),
+    }
+    with pytest.raises(ValueError, match="rng_seed"):
+        calls[entry](make(3))
 
 
 class TestOuSamplers:

@@ -291,17 +291,17 @@ class TestLossWeight:
 
 
 def mc_loss_loop(score_fn, dataset, params, sigma0, policy, n_mc, rng_seed):
-    """The per-sample loss loop mc_loss replaced: one draw, one single-time
-    factor and one single-point score call per sample.  Returns the loss
-    and the number of samples whose factor was floored."""
+    """The per-sample loss loop mc_loss replaced: on mc_loss's three draws,
+    one single-time factor and one single-point score call per sample.
+    Returns the loss and the number of samples whose factor was floored."""
     n, h = params.order, dataset.h
     lifted = dataset.lifted(params, policy)
     rng = np.random.default_rng(rng_seed)
+    times = rng.uniform(T_EPS, 1.0, n_mc)
+    picks = rng.integers(dataset.n_train, size=n_mc)
+    noise = rng.standard_normal((n_mc, n * h))
     total, floored = 0.0, 0
-    for _ in range(n_mc):
-        t = rng.uniform(T_EPS, 1.0)
-        k = int(rng.integers(dataset.n_train))
-        eps = rng.standard_normal(n * h)
+    for t, k, eps in zip(times.tolist(), picks.tolist(), noise):
         e = expm_at(params, t)
         factor, delta = cholesky_block(covariance_at(params, sigma0, t))
         floored += delta > 0
@@ -356,53 +356,6 @@ class TestMcLoss:
         base = mc_loss(opt, ds, params, s0, pol, 10_000, 11)
         worse = mc_loss(shifted, ds, params, s0, pol, 10_000, 11)
         assert base < worse
-
-
-def per_call_draws(rng, n_mc, n_train, dim):
-    """The draw loop ``_mc_draws`` replaced: three Generator calls a sample."""
-    times, picks = np.empty(n_mc), np.empty(n_mc, dtype=int)
-    noise = np.empty((n_mc, dim))
-    for i in range(n_mc):
-        times[i] = rng.uniform(T_EPS, 1.0)
-        picks[i] = rng.integers(n_train)
-        noise[i] = rng.standard_normal(dim)
-    return times, picks, noise
-
-
-class TestMcDraws:
-    """``_mc_draws`` against the per-call Generator route, bit for bit.
-
-    At n_train = 3 * 2**30 and 2**31 + 1 Lemire's rule redraws about 1/4
-    and 1/2 of the 32-bit words.
-    """
-
-    @pytest.mark.parametrize("seed", [7, [3, 1]], ids=["int", "list"])
-    @pytest.mark.parametrize("n_mc", [1, 2, 257])
-    @pytest.mark.parametrize("n_train", [1, 2, 3, 5, 8, 256, 3 * 2**30, 2**31 + 1])
-    def test_matches_per_call_route(self, n_train, n_mc, seed):
-        ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = per_call_draws(ref, n_mc, n_train, 6)
-        got = score_module._mc_draws(fast, n_mc, n_train, 6)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        # The cached high word is part of the state: later draws agree too.
-        assert fast.bit_generator.state == ref.bit_generator.state
-        assert fast.integers(n_train, size=3).tolist() == ref.integers(n_train, size=3).tolist()
-
-    def test_starts_from_a_cached_word(self):
-        ref, fast = np.random.default_rng(11), np.random.default_rng(11)
-        ref.integers(5)
-        fast.integers(5)
-        assert fast.bit_generator.state["has_uint32"]
-        want = per_call_draws(ref, 9, 5, 3)
-        got = score_module._mc_draws(fast, 9, 5, 3)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        assert fast.bit_generator.state == ref.bit_generator.state
-
-    def test_needs_pcg64(self):
-        rng = np.random.Generator(np.random.MT19937(1))
-        with pytest.raises(ValueError, match="PCG64"):
-            score_module._mc_draws(rng, 4, 8, 2)
 
     def test_mc_loss_rejects_a_missing_seed(self):
         ds, params, s0, pol = criterion07_setup(2)
