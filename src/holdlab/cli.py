@@ -314,8 +314,10 @@ def cmd_theorem1_check(args) -> int:
     )
     if not args.forcings:
         raise ValueError("--forcings names no forcing")
-    # The forcings are the columns of one (T, F) block.
-    forcings = np.stack([_forcing_values(spec, times) for spec in args.forcings], 1)
+    # The forcings are the columns of one (T, F) block.  One that overflows
+    # is refused, column by column, by the filters' finiteness check.
+    with np.errstate(over="ignore"):
+        forcings = np.stack([_forcing_values(spec, times) for spec in args.forcings], 1)
     cases = _labelled_params(args.orders, "theorem", args.ou_xi)
 
     # Zero forcing: the exact solution is the natural response, which the

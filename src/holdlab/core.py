@@ -238,6 +238,6 @@ def expm_at(params: HoldParams, t) -> np.ndarray:
     for term in terms[1:]:
         tk = tk * times
         acc += term * tk[:, None, None]
-    scale = np.array([math.exp(s_star * x) for x in times.tolist()])
+    scale = np.fromiter(map(math.exp, (s_star * times).tolist()), float, len(times))
     out = scale[:, None, None] * acc
     return out if np.ndim(t) else out[0]

@@ -133,9 +133,13 @@ def _expm_and_covariance(params: HoldParams, sigma0: BlockCovariance, t):
     tau = t_col * nodes  # (..., m, 1)
     vecs = tau ** np.arange(n) @ coef  # rows e^{-s* tau} v(tau)
     vecs *= np.exp(s_star * tau) * np.sqrt(weights * t_col)
-    quad = vecs.swapaxes(-1, -2) @ vecs
-    noise = np.where(t_col < t_switch, quad, params.l_inv * (np.eye(n) - e @ e_t))
-    small = e @ sigma0.small @ e_t + noise
+    noise = vecs.swapaxes(-1, -2) @ vecs
+    below = t_col < t_switch
+    if not below.all():
+        noise = np.where(below, noise, params.l_inv * (np.eye(n) - e @ e_t))
+    # A zero Sigma_0 (FixedPerSample) makes E Sigma_0 E^T all +0, and adding
+    # it changes no bit of the noise, whose zeros are +0.
+    small = e @ sigma0.small @ e_t + noise if sigma0.small.any() else noise
     small = 0.5 * (small + small.swapaxes(-1, -2))
     return e, BlockCovariance(order=n, small=small, t=t)
 

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -780,13 +781,27 @@ class TestTheoremCheckCommand:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_error_exits_4(self, tmp_path, capsys):
-        # exp(1000 t) overflows, so the errors are NaN: a NaN is a failure.
+        # A constant 1e300 forcing is finite, but the L2 norms of its
+        # positions overflow, so the errors are NaN: a NaN is a failure.
         out = tmp_path / "t1.csv"
-        argv = ["theorem1-check", "--forcings", "exp:-1000", "--steps", "1000"]
+        argv = ["theorem1-check", "--forcings", "const:1e300", "--steps", "1000"]
         assert main(argv + ["--out", str(out)]) == 4
         _, rows = read_csv(out)
         assert len(rows) == 4 and all(math.isnan(float(r[2])) for r in rows)
         assert "nan exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("forcing", ["exp:-1000", "const:nan", "const:-inf"])
+    def test_non_finite_forcing_exits_2(self, tmp_path, capsys, forcing):
+        # exp(1000 t) overflows on the grid, and NaN or infinite constants
+        # are not finite anywhere: a usage error, not a failed theorem,
+        # refused before any file is written and without warnings.
+        out = tmp_path / "t1.csv"
+        argv = ["theorem1-check", "--forcings", f"sin:3,{forcing}", "--steps", "100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert "forcing column 1 is not finite" in capsys.readouterr().err
 
     def test_bad_forcing_exits_2(self, tmp_path):
         code = main(

@@ -239,16 +239,17 @@ class TestMatrixExponential:
     def test_vector_times_equal_scalar_calls(self, n):
         # Same products in the same order per slice, math.exp per time:
         # every slice equals the scalar call, an (n, n) array, and the
-        # one-time loop to 0 ulp.
+        # one-time loop to 0 ulp, signed zeros included, at t = 0 and on
+        # both sides of the covariance's quadrature switch.
         p = HoldParams(1, (), 1.5, 1.0) if n == 1 else critically_damped_params(n)
-        times = np.geomspace(1e-3, 10.0, 41)
+        times = np.concatenate([[0.0], np.geomspace(1e-3, 10.0, 41)])
         stack = expm_at(p, times)
-        assert stack.shape == (41, n, n)
+        assert stack.shape == (42, n, n)
         scalars = [expm_at(p, float(t)) for t in times]
         assert all(e.shape == (n, n) for e in scalars)
-        assert np.array_equal(stack, np.stack(scalars))
+        assert stack.tobytes() == np.stack(scalars).tobytes()
         loop = [scalar_expm(p, float(t)) for t in times]
-        assert np.array_equal(stack, np.stack(loop))
+        assert stack.tobytes() == np.stack(loop).tobytes()
 
     def test_rejects_non_critical(self):
         p = critically_damped_params(2)

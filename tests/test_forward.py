@@ -270,6 +270,62 @@ class TestTimeStack:
             covariance_at(p, zero_cov(2), np.array([0.5, -0.1]))
 
 
+def reference_expm_and_covariance(params, sigma0, t):
+    """``_expm_and_covariance`` before its trims: both noise branches and
+    E Sigma_0 E^T are built at every time."""
+    n = params.order
+    e = expm_at(params, t)
+    e_t = e.swapaxes(-1, -2)
+    s_star, coef, nodes, weights, t_switch = forward._noise_terms(params)
+    t_col = np.asarray(t, dtype=float)[..., None, None]
+    tau = t_col * nodes
+    vecs = tau ** np.arange(n) @ coef
+    vecs *= np.exp(s_star * tau) * np.sqrt(weights * t_col)
+    quad = vecs.swapaxes(-1, -2) @ vecs
+    noise = np.where(t_col < t_switch, quad, params.l_inv * (np.eye(n) - e @ e_t))
+    small = e @ sigma0.small @ e_t + noise
+    return e, 0.5 * (small + small.swapaxes(-1, -2))
+
+
+def switch_times(params):
+    """Time sets around the quadrature switch: keyed all below, all above,
+    mixed (with t = 0), and t = 0 alone as a scalar and as an array."""
+    t_switch = forward._noise_terms(params)[4]
+    below = t_switch * np.array([1e-3, 0.3, 0.99])
+    above = t_switch * np.array([1.0, 1.5, 4.0])
+    return {
+        "below": below,
+        "above": above,
+        "mixed": np.concatenate([above[:2], [0.0], below]),
+        "zero": 0.0,
+        "zero-array": np.array([0.0]),
+        "scalar-below": float(below[1]),
+        "scalar-above": float(above[1]),
+    }
+
+
+class TestCovarianceTrims:
+    """Skipping the unused noise branch and a zero E Sigma_0 E^T changes no
+    bit, signed zeros included."""
+
+    @pytest.mark.parametrize("start", ["zero", "marginalized", "random"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bits_match_the_untrimmed_body(self, n, start):
+        p = HoldParams(1, (), 1.5, 1.0) if n == 1 else critically_damped_params(n)
+        if start == "random":
+            a = np.random.default_rng([90, n]).standard_normal((n, n))
+            s0 = BlockCovariance(order=n, small=a @ a.T, t=0.0)
+        else:
+            policy = Marginalized() if start == "marginalized" else FixedPerSample()
+            s0 = initial_covariance(p, policy)
+        for key, t in switch_times(p).items():
+            got_e, got = forward._expm_and_covariance(p, s0, t)
+            want_e, want = reference_expm_and_covariance(p, s0, t)
+            assert got_e.tobytes() == want_e.tobytes(), key
+            assert got.small.shape == want.shape, key
+            assert got.small.tobytes() == want.tobytes(), key
+
+
 class TestSchedule:
     """``schedule`` slices equal the single-time forward calls bit for bit."""
 
