@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -341,8 +342,12 @@ def cmd_theorem1_check(args) -> int:
                 times,
             )
         for fname, rec, ora in zip(args.forcings, recon.T, oracle.T):
-            scale = float(np.linalg.norm(ora))
-            err = float(np.linalg.norm(rec - ora)) / max(scale, 1e-30)
+            # ||rec - ora|| / max(||ora||, 1e-30), with both norms taken in
+            # units of the oracle's largest entry, so that they do not
+            # overflow: ||ora|| / unit >= 1 whenever that entry is >= 1e-30.
+            unit = max(float(np.abs(ora).max()), 1e-30)
+            scale = float(np.linalg.norm(ora / unit))
+            err = float(np.linalg.norm((rec - ora) / unit)) / max(scale, 1.0)
             rows.append([label, fname, err])
     _write_csv(Path(args.out), ["label", "forcing", "rel_l2_error"], rows)
     worst = np.max([row[2] for row in rows])  # NaN propagates, unlike max()
@@ -431,11 +436,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process for ``main``.  Every parse
+    shares its list defaults (--orders, --forcings); no command mutates them."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The command is looked up by name at each call, so that a rebound
+    # cmd_* (a tracer's wrapper) runs, although the parser was built earlier.
+    command = globals()[args.func.__name__]
     # Commands raise; this is the one place an exception becomes exit 1 or 2.
     try:
-        return args.func(args)
+        return command(args)
     except (OSError, ValueError, HoldLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, OSError) else 2

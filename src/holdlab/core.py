@@ -231,13 +231,19 @@ def expm_at(params: HoldParams, t) -> np.ndarray:
     Raises ``NotCriticallyDampedError`` when the nilpotency residual
     ||(F - s* I)^n|| exceeds 1e-8 * max(1, ||F||^n).
     """
+    return _expm_rows(params, t, slice(None))
+
+
+def _expm_rows(params: HoldParams, t, rows: slice) -> np.ndarray:
+    """The rows ``rows`` of ``expm_at(params, t)``, by the same elementwise
+    arithmetic and so with the same bits, without building the others."""
     s_star, terms = _nilpotent_terms(params)
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    acc = np.repeat(terms[0][None], len(times), axis=0)
+    acc = np.repeat(terms[0][None, rows], len(times), axis=0)
     tk = np.ones_like(times)
     for term in terms[1:]:
         tk = tk * times
-        acc += term * tk[:, None, None]
+        acc += term[rows] * tk[:, None, None]
     scale = np.fromiter(map(math.exp, (s_star * times).tolist()), float, len(times))
     out = scale[:, None, None] * acc
     return out if np.ndim(t) else out[0]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HoldParams, LiftedState, build_forward_matrix, expm_at
+from .core import HoldParams, LiftedState, _expm_rows, build_forward_matrix
 from .errors import PoleError
 
 # Time points per product of the ODE oracle's scan: bounds its temporary.
@@ -108,11 +108,12 @@ def frequency_magnitude(spec: HoldFilter, omega):
 
 def natural_response(params: HoldParams, u0: LiftedState, t) -> np.ndarray:
     """Position block of exp(Ft) u0, the unforced solution: shape (h,) for
-    one time, (T, h) for a (T,) array of times."""
-    e = expm_at(params, t)
+    one time, (T, h) for a (T,) array of times.  Only the first row of
+    exp(Ft) is built."""
+    e = _expm_rows(params, t, slice(1))
     # One (1, n) @ (n, h) product per time, so that each row has the same
     # bits as a single-time call (a (T, n) @ (n, h) GEMM differs in the last ulp).
-    return (e[..., :1, :] @ u0.data.reshape(params.order, u0.block_dim))[..., 0, :]
+    return (e @ u0.data.reshape(params.order, u0.block_dim))[..., 0, :]
 
 
 def _grid_forcing(
@@ -168,8 +169,6 @@ def convolution_reconstruct(
     if abs(times[0]) > 1e-12:
         raise ValueError("grid must start at t = 0")
 
-    # The natural response first: its (T, n, n) exponentials are the largest
-    # temporaries, and the FFT buffers are not yet alive.
     positions = natural_response(params, u0, times)
     kernel = impulse_response(spec, times)
     nt = times.shape[0]

@@ -9,9 +9,11 @@ whitened centers by direct differences (the expanded Gram form cancels at
 small t, where the whitened centers are huge).  Mixture weights are always
 computed in the log domain with the per-point maximum subtracted; raw
 densities underflow at exactly the separations where memorization happens.
-A log-weight at or below -746 is set to weight 0 without calling exp: exp
-rounds every such value to exactly 0, but through a path several times
-slower than the normal one, and near collapse most entries take it.
+A log-weight at or below -708.4 is set to weight 0 without calling exp:
+exp of such a value is subnormal or 0, and numpy computes it by a path
+about 130 times slower than the normal one.  Near collapse many entries
+land there; a dropped weight is below 2.3e-308 next to the column maximum's
+1, so every normal weight keeps its bits.
 One kernel serves every order: at order 1 (the Ornstein-Uhlenbeck process)
 the mixture covariance is the scalar l_inv (1 - exp(-2 xi t)) and the same
 code gives the first-order empirical score.
@@ -44,10 +46,11 @@ responsibilities.
 
 The n x n pieces of a mixture come from a ``forward.schedule``;
 ``empirical_score_fn`` takes the schedule of a whole time grid, so a
-sampler factors its grid once.  Score callbacks are ``score_fn(u, t)`` ->
-(B, h) last-block scores for u of shape (B, n*h), with t a float (the
-samplers) or a (B,) array (``mc_loss``); a single (n*h,) point gives (h,).
-Points are plain arrays throughout.
+sampler factors its grid, and builds the whitening W of every grid time,
+once.  Score callbacks are ``score_fn(u, t)`` -> (B, h) last-block scores
+for u of shape (B, n*h), with t a float (the samplers) or a (B,) array
+(``mc_loss``); a single (n*h,) point gives (h,).  Points are plain arrays
+throughout.
 """
 
 from __future__ import annotations
@@ -73,9 +76,11 @@ from .forward import (
 # 40.6 to 44.1 MB, over that metric's 5 % bound.
 _MC_BLOCK = 256
 
-# exp(x) rounds to exactly 0 for every x below about -745.13 (half the
-# smallest subnormal); at or below this bound a weight is 0 without exp.
-_EXP_ZERO = -746.0
+# exp(x) is subnormal or 0 for every x below ln(tiny) = -708.396 (tiny the
+# smallest normal float), and numpy's exp reaches such results by a path
+# about 130 times slower than a normal one; at or below this bound a weight
+# is 0 without exp.
+_EXP_ZERO = -708.4
 
 
 @dataclass
@@ -122,7 +127,7 @@ class EmpiricalMixture:
     whitened centers (W x I_h) c_k, which are 0 beyond them.  W = L^{-1}
     and r = n*h, except for a marginalized mixture of order >= 2, where W
     also reflects the axis of the centers onto e_0 and r = h (see
-    ``_mixture``)."""
+    ``_mixtures``)."""
 
     order: int
     block_dim: int
@@ -144,24 +149,26 @@ def mixture_at(
     """Time-t empirical mixture: centers exp(Ft) u0^(k), covariance Sigma_t;
     G = 1 at a float t, G = B at a (B,) array of times."""
     sched = schedule(params, sigma0, np.atleast_1d(t))
-    return _mixture(dataset, params, policy, sched, slice(None))
+    return _mixtures(dataset, params, policy, sched)(slice(None))
 
 
-def _mixture(
-    dataset: Dataset, params: HoldParams, policy: AuxPolicy, sched: Schedule, k: slice
-) -> EmpiricalMixture:
-    """The mixture at the G times ``sched.times[k]``.
+def _mixtures(dataset: Dataset, params: HoldParams, policy: AuxPolicy, sched: Schedule):
+    """``at(k)``: the mixture at the G times ``sched.times[k]`` of a slice k.
 
-    Under the marginalized policy at order n >= 2 every lifted center is
-    e_0 x x_k, so every whitened center lies on the axis
+    The whitening of every time of the schedule is built here, by one
+    stacked call.  Under the marginalized policy at order n >= 2 every
+    lifted center is e_0 x x_k, so every whitened center lies on the axis
     a = L^{-1} exp(Ft) e_0.  The Householder reflection
     Q = I - 2 v v^T / v^T v with v = a + s|a| e_0 (s = sign a_0, no
     cancellation) maps a to -s|a| e_0, so under W = Q L^{-1} the whitened
-    centers are -s|a| x_k in the first h coordinates and 0 in the rest.
+    centers are -s|a| x_k in the first h coordinates and 0 in the rest, and
+    ``at`` takes a slice of W and scales the points.  Other mixtures take
+    W = L^{-1} and build their (G, N, n*h) centers in ``at``: no table of
+    centers over the schedule is held.
     """
     if dataset.n_train == 0:
         raise ValueError("dataset is empty")
-    n, inv, expm = params.order, sched.chol_inv[k], sched.expm[k]
+    n, h, inv, expm = params.order, dataset.h, sched.chol_inv, sched.expm
     if isinstance(policy, Marginalized) and n > 1:
         a = inv @ expm[..., :1]
         norm = np.sqrt((a * a).sum(axis=-2, keepdims=True))
@@ -169,15 +176,21 @@ def _mixture(
         v = a + s * norm * np.eye(n, 1)
         vt = v.swapaxes(-1, -2)
         whiten = (np.eye(n) - 2.0 / (vt @ v) * (v @ vt)) @ inv
-        white = -s * norm * dataset.points
+        scale = -s * norm
+
+        def at(k: slice) -> EmpiricalMixture:
+            white = scale[k] * dataset.points
+            return EmpiricalMixture(n, h, whiten=whiten[k], white_centers=white)
+
     else:
         lifted = dataset.lifted(params, policy)
-        cols = inv @ (expm @ lifted.T.reshape(n, -1))
-        whiten = inv
-        white = cols.reshape(len(cols), *lifted.T.shape).swapaxes(-1, -2)
-    return EmpiricalMixture(
-        order=n, block_dim=dataset.h, whiten=whiten, white_centers=white
-    )
+
+        def at(k: slice) -> EmpiricalMixture:
+            cols = inv[k] @ (expm[k] @ lifted.T.reshape(n, -1))
+            white = cols.reshape(len(cols), *lifted.T.shape).swapaxes(-1, -2)
+            return EmpiricalMixture(n, h, whiten=inv[k], white_centers=white)
+
+    return at
 
 
 def _as_batch(mix: EmpiricalMixture, u) -> tuple[np.ndarray, bool]:
@@ -219,10 +232,13 @@ def _log_weights(mix: EmpiricalMixture, u):
 
 
 def _weights(lw: np.ndarray) -> np.ndarray:
-    """Normalized exp(lw) over axis 0, equal to plain exp bit for bit.
+    """Normalized exp(lw) over axis 0.
 
-    exp runs only where lw is above _EXP_ZERO, or NaN; the other entries
-    keep the 0 that exp would round them to.
+    exp runs only where lw is above _EXP_ZERO, or NaN; the other entries,
+    whose exp is below the smallest normal float, are 0.  Every other weight
+    equals plain exp normalisation bit for bit: each column holds its
+    maximum as lw = 0, so the normalising sum is at least 1 and a
+    subnormal term cannot move it.
     """
     w = np.zeros(lw.shape)
     np.exp(lw, out=w, where=~(lw <= _EXP_ZERO))
@@ -281,12 +297,16 @@ def empirical_score_fn(
     """Callback (u, t) -> last-block score of the time-t empirical mixture.
 
     A float t held by ``schedule`` (exact equality: the samplers pass
-    ``float(times[k])``) takes its n x n pieces from it; any other time
-    builds them with ``mixture_at``.  The mixture of the last float time is
-    kept: a Heun step starts where the previous one ended, so each grid
-    time is built once.
+    ``float(times[k])``) takes its mixture from the schedule's whitening,
+    built once for the whole grid here; any other time builds its own with
+    ``mixture_at``.  The mixture of the last float time is kept: a Heun
+    step starts where the previous one ended, so each grid time is built
+    once.
     """
-    times = [] if schedule is None else schedule.times.tolist()
+    times, grid = [], None
+    if schedule is not None:
+        times = schedule.times.tolist()
+        grid = _mixtures(dataset, params, policy, schedule)
     index = {t: k for k, t in enumerate(times)}
     last_t, last_mix = None, None
 
@@ -299,7 +319,7 @@ def empirical_score_fn(
             if k is None:
                 last_mix = mixture_at(dataset, params, sigma0, policy, t)
             else:
-                last_mix = _mixture(dataset, params, policy, schedule, slice(k, k + 1))
+                last_mix = grid(slice(k, k + 1))
             last_t = t
         return score_last_block(last_mix, u)
 

@@ -781,14 +781,31 @@ class TestTheoremCheckCommand:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_error_exits_4(self, tmp_path, capsys):
-        # A constant 1e300 forcing is finite, but the L2 norms of its
-        # positions overflow, so the errors are NaN: a NaN is a failure.
+        # A constant 1e308 forcing is finite, but both routes overflow on
+        # the way (the FFT product, the RK4 half-step forcing), so the
+        # errors are NaN: a NaN is a failure.
         out = tmp_path / "t1.csv"
-        argv = ["theorem1-check", "--forcings", "const:1e300", "--steps", "1000"]
-        assert main(argv + ["--out", str(out)]) == 4
+        argv = ["theorem1-check", "--forcings", "const:1e308", "--steps", "1000"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv + ["--out", str(out)]) == 4
         _, rows = read_csv(out)
         assert len(rows) == 4 and all(math.isnan(float(r[2])) for r in rows)
         assert "nan exceeds" in capsys.readouterr().err
+
+    def test_huge_positions_keep_a_finite_error(self, tmp_path):
+        # At const:1e300 both routes stay finite, but the plain L2 norms of
+        # their positions would overflow; in units of the oracle's largest
+        # entry they do not, and the error is that of a smaller constant
+        # (the initial state is negligible next to both).
+        out = tmp_path / "t1.csv"
+        argv = ["theorem1-check", "--forcings", "const:1e100,const:1e300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--steps", "1000", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        errors = np.array([float(r[2]) for r in rows]).reshape(4, 2)
+        assert np.isfinite(errors).all() and errors.max() <= 1e-5
+        assert np.allclose(errors[:, 1], errors[:, 0], rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("forcing", ["exp:-1000", "const:nan", "const:-inf"])
     def test_non_finite_forcing_exits_2(self, tmp_path, capsys, forcing):
@@ -895,3 +912,40 @@ def test_finish_exits_3_from_one_percent(tmp_path, capsys, diverged, code):
     assert cli._finish(config, tmp_path, ["order", "run", "step"], rows) == code
     assert len((tmp_path / "failures.csv").read_text().splitlines()) == 1 + diverged
     assert capsys.readouterr().err == ("error: 1/100 runs diverged\n" if diverged else "")
+
+
+class TestParserBuiltOnce:
+    def test_main_reuses_one_parser(self, tmp_path):
+        assert build_parser() is not build_parser()
+        assert main(["params", "--order", "2"]) == 0
+        parser = cli._parser()
+        argv = ["collapse", "--t-points", "3", "--out", str(tmp_path / "c.csv")]
+        assert main(argv) == 0
+        assert cli._parser() is parser
+
+    def test_commands_leave_the_shared_defaults_alone(self, tmp_path):
+        commands = {
+            "filter": ["--omega-points", "3"],
+            "collapse": ["--t-points", "3"],
+            "theorem1-check": ["--steps", "400"],
+        }
+
+        def defaults():
+            return {cmd: vars(cli._parser().parse_args([cmd])) for cmd in commands}
+
+        before = defaults()
+        for cmd, flags in commands.items():
+            assert main([cmd, *flags, "--out", str(tmp_path / f"{cmd}.csv")]) == 0
+        assert defaults() == before
+        assert before["collapse"]["orders"] == [1, 2, 3, 4]
+        forcings = ["sin:3", "cos:2", "exp:1", "sinexp:5", "const:1"]
+        assert before["theorem1-check"]["forcings"] == forcings
+
+    def test_a_rebound_command_runs(self, monkeypatch):
+        # A tracer wraps cli.cmd_* after the parser may have been built.
+        assert main(["params", "--order", "2"]) == 0
+        seen = []
+        stub = lambda args: seen.append(args.order) or 0  # noqa: E731
+        monkeypatch.setattr(cli, "cmd_params", stub)
+        assert main(["params", "--order", "3"]) == 0
+        assert seen == [3]

@@ -23,7 +23,7 @@ from holdlab import (
     transfer_function,
     TimeGrid,
 )
-from holdlab.core import expm_at
+from holdlab.core import _expm_rows, expm_at
 
 
 def hold(n):
@@ -189,6 +189,22 @@ class TestNaturalResponse:
         want = np.stack([natural_response(params, u0, float(t)) for t in times])
         assert got.shape == (101, 2)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+    def test_builds_only_the_rows_it_reads(self, n):
+        # natural_response builds row 0 of exp(Ft) alone, by the arithmetic
+        # of expm_at, so rows and positions keep the bits of the full stack.
+        ou_params = HoldParams(order=1, gammas=(), xi=1.5, l_inv=1.0)
+        params = ou_params if n == 1 else critically_damped_params(n)
+        u0 = LiftedState(n, 3, np.random.default_rng(n).standard_normal(3 * n))
+        data = u0.data.reshape(n, 3)
+        for t in (np.linspace(0.0, 7.0, 301), np.array([]), 0.0, 0.37, 40.0):
+            full = expm_at(params, t)
+            assert np.array_equal(_expm_rows(params, t, slice(1)), full[..., :1, :])
+            mid = slice(n // 2, n)
+            assert np.array_equal(_expm_rows(params, t, mid), full[..., mid, :])
+            old = (full[..., :1, :] @ data)[..., 0, :]
+            assert natural_response(params, u0, t).tobytes() == old.tobytes()
 
     def test_matches_zero_score_flow(self):
         params = critically_damped_params(2)

@@ -29,7 +29,7 @@ from holdlab import (
 )
 from holdlab import forward
 from holdlab import score as score_module
-from holdlab.core import expm_at, kron_apply
+from holdlab.core import _order_params, expm_at, kron_apply
 from holdlab.datasets import GaussianMixtureSpec, training_points
 from holdlab.forward import schedule
 from holdlab.score import EmpiricalMixture, log_density_shifted
@@ -864,7 +864,7 @@ class TestReflection:
             # A negated exp(Ft) flips a, so both signs of a_0 are reached.
             for sign in (1.0, -1.0):
                 sched = dataclasses.replace(base, expm=sign * base.expm)
-                mix = score_module._mixture(ds, params, pol, sched, slice(None))
+                mix = score_module._mixtures(ds, params, pol, sched)(slice(None))
                 inv, whiten, expm = sched.chol_inv, mix.whiten, sched.expm
                 gram = inv.swapaxes(-1, -2) @ inv
                 err = whiten.swapaxes(-1, -2) @ whiten - gram
@@ -908,16 +908,19 @@ def scalar_pieces(ds, params, s0, pol, t):
 
 class TestScheduledMixture:
     @pytest.mark.parametrize("policy", [FixedPerSample(seed=3), Marginalized()])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_fields_equal_scalar_mixture_bit_for_bit(self, n, policy):
+        # The grid's whitening is built by one stacked call over all times;
+        # each of its slices must equal the single-time mixture.
         params = ou_params() if n == 1 else critically_damped_params(n)
         s0 = initial_covariance(params, policy)
         ds = Dataset(np.random.default_rng(n).standard_normal((8, 2)) * 3.0)
         quadratic = TimeGrid(t_end=1e-3, steps=100, spacing="quadratic")
         for times in (TimeGrid(steps=100).times(), quadratic.times()):
             sched = schedule(params, s0, times)
+            grid = score_module._mixtures(ds, params, policy, sched)
             for k, t in enumerate(times.tolist()):
-                mix = score_module._mixture(ds, params, policy, sched, slice(k, k + 1))
+                mix = grid(slice(k, k + 1))
                 one = mixture_at(ds, params, s0, policy, t)
                 want, (factor, sigma, shift) = scalar_pieces(ds, params, s0, policy, t)
                 for m in (mix, one):
@@ -936,22 +939,31 @@ class TestScheduledMixture:
             assert not hasattr(mix, gone), gone
 
     def test_score_fn_builds_each_grid_time_once_from_the_schedule(self, monkeypatch):
-        ds, params, s0, pol = criterion07_setup(3)
+        # One stacked whitening per score function (a sampler cell), then
+        # one slice of it per grid time, under both policies.
+        ds, params, _, _ = criterion07_setup(3)
         grid = TimeGrid(steps=40)
-        sched = schedule(params, s0, grid.times())
-        built = []
-        real = score_module._mixture
-        monkeypatch.setattr(
-            score_module, "_mixture", lambda *a: built.append(a[-1]) or real(*a)
-        )
-        monkeypatch.setattr(score_module, "mixture_at", None)  # never reached
-        fn = empirical_score_fn(ds, params, s0, pol, schedule=sched)
-        got, *_ = pf_ode_endpoints(params, fn, grid, rng_seed=5, h=2, runs=6)
-        assert built == [slice(k, k + 1) for k in range(41)]
-        monkeypatch.undo()
-        fallback = empirical_score_fn(ds, params, s0, pol)
-        want, *_ = pf_ode_endpoints(params, fallback, grid, rng_seed=5, h=2, runs=6)
-        assert np.array_equal(got, want)
+        real = score_module._mixtures
+        for pol in (FixedPerSample(seed=3), Marginalized()):
+            s0 = initial_covariance(params, pol)
+            sched = schedule(params, s0, grid.times())
+            stacks, built = [], []
+
+            def counting(*args):
+                stacks.append(args[-1])
+                at = real(*args)
+                return lambda k: built.append(k) or at(k)
+
+            monkeypatch.setattr(score_module, "_mixtures", counting)
+            monkeypatch.setattr(score_module, "mixture_at", None)  # never reached
+            fn = empirical_score_fn(ds, params, s0, pol, schedule=sched)
+            got, *_ = pf_ode_endpoints(params, fn, grid, rng_seed=5, h=2, runs=6)
+            assert len(stacks) == 1 and stacks[0] is sched
+            assert built == [slice(k, k + 1) for k in range(41)]
+            monkeypatch.undo()
+            fallback = empirical_score_fn(ds, params, s0, pol)
+            want, *_ = pf_ode_endpoints(params, fallback, grid, rng_seed=5, h=2, runs=6)
+            assert np.array_equal(got, want)
 
 
 def plain_weights(lw):
@@ -960,9 +972,28 @@ def plain_weights(lw):
     return w / w.sum(axis=0)
 
 
+def assert_plain_but_subnormal(got, lw):
+    """The ``_weights`` contract: an entry at or below ``_EXP_ZERO``, whose
+    exp is below the smallest normal float, is 0 (NaN in a column holding a
+    NaN); every other entry, and so the normalising sum, has the bits of
+    plain exp normalisation."""
+    want = plain_weights(lw)
+    skipped = lw <= score_module._EXP_ZERO
+    assert not (want[skipped] >= np.finfo(float).tiny).any()
+    assert np.array_equal(got, np.where(skipped, 0.0 * want, want), equal_nan=True)
+
+
 class TestWeightsSkipUnderflow:
-    """``_weights`` does not call exp at or below -746, where exp rounds to
-    exactly 0; the weights must equal plain exp normalisation bit for bit."""
+    """``_weights`` does not call exp at or below ``_EXP_ZERO`` = -708.4,
+    where exp is subnormal (numpy's slow path) or 0; those weights are 0
+    and every other weight keeps the bits of plain exp normalisation."""
+
+    def test_bound_is_below_the_smallest_normal(self):
+        tiny = np.finfo(float).tiny
+        bound = score_module._EXP_ZERO
+        assert np.exp(bound) < tiny and bound < math.log(tiny)
+        assert np.exp(np.nextafter(bound, 0.0)) < tiny  # a few stay subnormal
+        assert np.exp(-708.39) >= tiny
 
     def test_equals_plain_exp_on_synthetic_log_weights(self):
         rng = np.random.default_rng(16)
@@ -970,21 +1001,28 @@ class TestWeightsSkipUnderflow:
         span = -np.exp(rng.uniform(math.log(1e-3), math.log(1e6), shape))
         band = -rng.uniform(700.0, 750.0, shape)  # the subnormal band and past it
         lw = np.where(rng.random(shape) < 0.5, span, band)
-        lw[:, :8] = -rng.uniform(746.0, 1e6, (64, 8))  # all 0 but the max
-        # Column 8 sums to 1, so exp(-745.13) = 5e-324 survives normalisation.
-        edges = [-708.0, -745.13, -745.14, np.nextafter(-746.0, 0.0), -746.0, -np.inf]
+        lw[:, :8] = -rng.uniform(708.4, 1e6, (64, 8))  # all 0 but the max
+        bound = score_module._EXP_ZERO
+        edges = [
+            -708.0, -708.39, np.nextafter(bound, 0.0), bound, -745.13, -745.14,
+            np.nextafter(-746.0, 0.0), -746.0, -np.inf,
+        ]
         lw[1:, 8] = -1e3
         lw[1 : 1 + len(edges), 8] = edges
         lw[7, 9] = np.nan
         lw[0] = 0.0  # each column's maximum, as _log_weights leaves it
         want = plain_weights(lw)
         tiny = np.finfo(float).tiny
-        assert ((want > 0) & (want < tiny)).sum() >= 10  # subnormal weights
-        assert (lw <= -746).mean() > 0.3
+        skipped = lw <= bound
+        assert ((want > 0) & (want < tiny) & skipped).sum() >= 10  # subnormals
+        assert skipped.mean() > 0.3
         got = score_module._weights(lw)
-        assert np.array_equal(got, want, equal_nan=True)
+        assert_plain_but_subnormal(got, lw)
         assert np.all(got[0, :8] == 1) and np.all(got[1:, :8] == 0)
-        assert got[2, 8] == 5e-324 and got[3, 8] == 0
+        # Column 8 sums to 1, so its weights are exp(lw) themselves.
+        column = got[1 : 1 + len(edges), 8]
+        assert np.array_equal(column[:3], np.exp(edges[:3]))
+        assert 0 < column[2] < tiny and np.all(column[3:] == 0)
         assert np.isnan(got[:, 9]).all() and not np.isnan(np.delete(got, 9, 1)).any()
 
     def test_stacked_times_path(self):
@@ -997,5 +1035,68 @@ class TestWeightsSkipUnderflow:
         u = ref.centers[np.arange(32), pick]
         u = u + kron_apply(ref.chol, rng.standard_normal((32, 6)), 2)
         _, lw, _, _ = score_module._log_weights(mix, u)
-        assert (lw <= -746).mean() > 0.5
-        assert np.array_equal(responsibilities(mix, u), plain_weights(lw).T)
+        assert (lw <= score_module._EXP_ZERO).mean() > 0.5
+        assert_plain_but_subnormal(responsibilities(mix, u).T, lw)
+
+
+def band_probes(mix, rng, anchors, gaps):
+    """Points u whose whitened images y put the log-weight of every
+    component k other than column b's anchor a at -gaps[k, b] below it.
+
+    With D_k = c~_k - c~_a, the offset d = y - c~_a solves
+    D_k . d = |D_k|^2 / 2 - gap_k for k != a (the minimum-norm solution),
+    so |y - c~_k|^2 / 2 - |y - c~_a|^2 / 2 = gap_k; the rows beyond the
+    centers are standard normal.  Returns (B, n*h) points."""
+    white, (n, h) = mix.white_centers, (mix.order, mix.block_dim)
+    count, r = len(anchors), white.shape[-1]
+    y = rng.standard_normal((count, n * h))
+    for b, a in enumerate(anchors):
+        centers = white[b % len(white)]
+        others = np.delete(np.arange(len(centers)), a)
+        rel = centers[others] - centers[a]
+        rhs = 0.5 * (rel * rel).sum(axis=1) - gaps[others, b]
+        y[b, :r] = centers[a] + np.linalg.lstsq(rel, rhs, rcond=None)[0]
+    return kron_apply(np.linalg.inv(mix.whiten), y, h)
+
+
+class TestScoreSkipsSubnormalWeights:
+    """``score_full`` through ``_weights`` equals ``score_full`` with plain
+    exp weights bit for bit, on batches whose log-weights crowd the band
+    (-746, -708.4] where exp is subnormal: a dropped weight is below
+    2.3e-308 next to the column maximum's 1, and the mean it would join is
+    at least that far above it.
+
+    Each dataset is a random 4-point set in R^3 scaled so that its whitened
+    centers are about 40 apart at the given time (squared distances near
+    2 x 727); the auxiliaries are drawn at alpha = 1e-24, so they do not
+    move the centers."""
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "stacked"])
+    @pytest.mark.parametrize("policy", [FixedPerSample(seed=5), Marginalized()])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_plain_exp_weights(self, monkeypatch, n, policy, shared):
+        params = _order_params(n, alpha=1e-24)
+        s0 = initial_covariance(params, policy)
+        rng = np.random.default_rng([n, int(shared)])
+        base = rng.standard_normal((4, 3))
+        crowded = 0
+        for t in (1.0, 0.1, 1e-2, T_EPS):
+            times = t if shared else t * rng.uniform(1.0, 1.2, 64)
+            white = mixture_at(Dataset(base), params, s0, policy, t).white_centers[0]
+            dist = np.linalg.norm(white[:, None] - white, axis=-1)
+            ds = Dataset(base * (40.0 / np.median(dist[~np.eye(4, dtype=bool)])))
+            mix = mixture_at(ds, params, s0, policy, times)
+            # One gap in eight is small, so that a bound set too high, which
+            # would drop normal weights, moves the scores.
+            near = rng.random((4, 64)) < 0.125
+            gaps = np.where(near, 0.05, 1.0) * rng.uniform(700.0, 750.0, (4, 64))
+            u = band_probes(mix, rng, rng.integers(4, size=64), gaps)
+            _, lw, _, _ = score_module._log_weights(mix, u)
+            band = (lw > -746.0) & (lw <= score_module._EXP_ZERO)
+            crowded += band.sum()
+            got = score_full(mix, u)
+            with monkeypatch.context() as patch:
+                patch.setattr(score_module, "_weights", plain_weights)
+                want = score_full(mix, u)
+            assert got.tobytes() == want.tobytes()
+        assert crowded >= 4 * 64 * 3 * 0.4  # of the off-anchor weights
