@@ -1063,8 +1063,8 @@ class TestScoreSkipsSubnormalWeights:
     """``score_full`` through ``_weights`` equals ``score_full`` with plain
     exp weights bit for bit, on batches whose log-weights crowd the band
     (-746, -708.4] where exp is subnormal: a dropped weight is below
-    2.3e-308 next to the column maximum's 1, and the mean it would join is
-    at least that far above it.
+    2.3e-308 next to the column maximum's 1, and its term w_k c~_k is far
+    below an ulp of the whitened mean and point.
 
     Each dataset is a random 4-point set in R^3 scaled so that its whitened
     centers are about 40 apart at the given time (squared distances near
@@ -1099,4 +1099,4 @@ class TestScoreSkipsSubnormalWeights:
                 patch.setattr(score_module, "_weights", plain_weights)
                 want = score_full(mix, u)
             assert got.tobytes() == want.tobytes()
-        assert crowded >= 4 * 64 * 3 * 0.4  # of the off-anchor weights
+        assert crowded >= 0.4 * (4 * 64 * 3)  # of the off-anchor weights
