@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="critically damped parameters as JSON")
     p.add_argument("--order", type=int, required=True)
-    p.set_defaults(func=cmd_params)
+    p.set_defaults(func="cmd_params")
 
     p = sub.add_parser("filter", help="frequency magnitude tables")
     p.add_argument("--orders", type=_int_list_flag, default=[2, 3, 4])
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--impulse-out", help="also write a (t, label, h) impulse table")
     p.add_argument("--impulse-t-max", type=float, default=8.0)
     p.add_argument("--impulse-points", type=int, default=400)
-    p.set_defaults(func=cmd_filter)
+    p.set_defaults(func="cmd_filter")
 
     p = sub.add_parser("collapse", help="determinant ratio tables")
     p.add_argument("--orders", type=_int_list_flag, default=[1, 2, 3, 4])
@@ -410,15 +410,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ou-xi", type=float, default=1.0)
     p.add_argument("--out", default="collapse.csv")
     p.add_argument("--svg", action="store_true")
-    p.set_defaults(func=cmd_collapse)
+    p.set_defaults(func="cmd_collapse")
 
     p = sub.add_parser("generate", help="reverse-time generation to CSV")
     _add_experiment_flags(p)
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func="cmd_generate")
 
     p = sub.add_parser("fmem-sweep", help="memorization sweep")
     _add_experiment_flags(p)
-    p.set_defaults(func=cmd_fmem_sweep)
+    p.set_defaults(func="cmd_fmem_sweep")
 
     p = sub.add_parser("theorem1-check", help="convolution equivalence report")
     p.add_argument("--orders", type=_int_list_flag, default=[2, 3, 4])
@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=5.0)
     p.add_argument("--ou-xi", type=float, default=2.0)
     p.add_argument("--out", default="theorem1.csv")
-    p.set_defaults(func=cmd_theorem1_check)
+    p.set_defaults(func="cmd_theorem1_check")
 
     return parser
 
@@ -445,9 +445,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    # The command is looked up by name at each call, so that a rebound
-    # cmd_* (a tracer's wrapper) runs, although the parser was built earlier.
-    command = globals()[args.func.__name__]
+    # The parser holds the command's name, not its function, so that the
+    # cmd_* bound now (a tracer's wrapper, say) runs whenever it was bound.
+    command = globals()[args.func]
     # Commands raise; this is the one place an exception becomes exit 1 or 2.
     try:
         return command(args)

@@ -949,3 +949,21 @@ class TestParserBuiltOnce:
         monkeypatch.setattr(cli, "cmd_params", stub)
         assert main(["params", "--order", "3"]) == 0
         assert seen == [3]
+
+    def test_a_command_wrapped_before_the_first_parse_runs(self, monkeypatch):
+        # The tracer's wrappers are all named ``traced``; one bound before the
+        # parser is built must neither be looked up by its own name nor stick.
+        cli._parser.cache_clear()
+        seen = []
+        original = cli.cmd_params
+
+        def traced(args):
+            seen.append(args.order)
+            return original(args)
+
+        traced.__wrapped__ = original
+        monkeypatch.setattr(cli, "cmd_params", traced)
+        assert main(["params", "--order", "2"]) == 0
+        monkeypatch.undo()
+        assert main(["params", "--order", "3"]) == 0
+        assert seen == [2]

@@ -56,10 +56,10 @@ def make_mixture(n=2, h=1, t=0.5, points=None, policy=None, alpha=1.0):
 def pieces(ds, params, s0, pol, t):
     """The unwhitened pieces of the time-t mixture, read off
     ``forward.schedule`` and ``Dataset.lifted``: the centers exp(Ft) u0^(k)
-    (built as (n*h, N) columns by the product ``_mixture`` uses and held as
-    their (N, n*h) transposes), the factor ``chol`` and ``chol_inv``.  Like
-    the mixture's fields, every array carries a leading time axis: G = 1 at
-    a float t, G = B at (B,) times."""
+    (built as (n*h, N) columns by the product that ``_mixtures``' ``at``
+    uses and held as their (N, n*h) transposes), the factor ``chol`` and
+    ``chol_inv``.  Like the mixture's fields, every array carries a leading
+    time axis: G = 1 at a float t, G = B at (B,) times."""
     sched = schedule(params, s0, np.atleast_1d(t))
     lifted = ds.lifted(params, pol)
     cols = sched.expm @ lifted.T.reshape(params.order, -1)
@@ -75,7 +75,7 @@ def pieces(ds, params, s0, pol, t):
 
 def full_white(ref):
     """The (G, N, n*h) whitened centers L^{-1} c_k of ``pieces``, built as
-    ``_mixture`` builds an unreflected mixture's."""
+    ``_mixtures``' ``at`` builds an unreflected mixture's."""
     cols = ref.centers.swapaxes(-1, -2)
     white = ref.chol_inv @ cols.reshape(len(cols), ref.order, -1)
     return white.reshape(cols.shape).swapaxes(-1, -2)
@@ -1035,7 +1035,8 @@ class TestWeightsSkipUnderflow:
         u = ref.centers[np.arange(32), pick]
         u = u + kron_apply(ref.chol, rng.standard_normal((32, 6)), 2)
         _, lw, _, _ = score_module._log_weights(mix, u)
-        assert (lw <= score_module._EXP_ZERO).mean() > 0.5
+        assert (lw <= -746).mean() > 0.5
+        assert np.array_equal(responsibilities(mix, u), plain_weights(lw).T)
         assert_plain_but_subnormal(responsibilities(mix, u).T, lw)
 
 
