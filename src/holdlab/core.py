@@ -134,13 +134,22 @@ def _block_apply(mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _require_seed(rng_seed) -> list:
     """``rng_seed`` as a list for ``np.random.default_rng``: an int s gives
     [s], which seeds the same stream as s, and a sequence of ints its list.
-    None (OS entropy), a Generator and a BitGenerator (a draw would advance
-    it) are refused, so every seeded draw is deterministic given its seed."""
-    if isinstance(rng_seed, (int, np.integer)):
-        return [rng_seed]
+    Every entry is a non-negative Python or numpy int; a bool, a float or a
+    negative entry is refused, and so are None (OS entropy), a Generator and
+    a BitGenerator (a draw would advance it), so every seeded draw is
+    deterministic given its seed."""
     if isinstance(rng_seed, (list, tuple, np.ndarray)):
-        return list(rng_seed)
-    raise ValueError(f"rng_seed must be an int or a sequence of ints, not {rng_seed!r}")
+        chain = list(rng_seed)
+    else:
+        chain = [rng_seed]
+    for entry in chain:
+        is_int = isinstance(entry, (int, np.integer)) and not isinstance(entry, bool)
+        if not (is_int and entry >= 0):
+            raise ValueError(
+                "rng_seed must be a non-negative int or a sequence of them, "
+                f"not {rng_seed!r}"
+            )
+    return chain
 
 
 def critically_damped_params(

@@ -219,13 +219,16 @@ def _log_weights(mix: EmpiricalMixture, u):
     batch, single = _as_batch(mix, u)
     white = mix.white_centers
     y = _block_apply(mix.whiten, batch.T)
-    sq = np.zeros((white.shape[-2], len(batch)))
-    diff = np.empty_like(sq)
-    for y_row, c_row in zip(y, white.T):
+    lw = np.empty((white.shape[-2], len(batch)))
+    diff = np.empty_like(lw)
+    rows = zip(y, white.T)
+    np.subtract(*next(rows), out=lw)
+    lw *= lw
+    for y_row, c_row in rows:
         np.subtract(y_row, c_row, out=diff)
         diff *= diff
-        sq += diff
-    lw = -0.5 * sq
+        lw += diff
+    lw *= -0.5
     m = lw.max(axis=0)
     lw -= m
     return y, lw, m, single
@@ -312,7 +315,7 @@ def empirical_score_fn(
 
     def fn(u, t):
         nonlocal last_t, last_mix
-        if np.ndim(t):
+        if getattr(t, "ndim", 0):
             return score_last_block(mixture_at(dataset, params, sigma0, policy, t), u)
         if t != last_t:
             k = index.get(t)

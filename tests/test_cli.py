@@ -4,11 +4,16 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import holdlab
 from holdlab import (
     Dataset,
     HoldFilter,
@@ -791,6 +796,18 @@ class TestTheoremCheckCommand:
         _, rows = read_csv(out)
         assert len(rows) == 4 and all(math.isnan(float(r[2])) for r in rows)
         assert "nan exceeds" in capsys.readouterr().err
+
+    def test_nan_error_prints_only_its_error_line(self, tmp_path):
+        # The overflows on the way to the NaN error are not shown: a script
+        # reading stderr sees the error line and nothing else.
+        argv = ["theorem1-check", "--forcings", "const:1e308", "--steps", "1000"]
+        env = {**os.environ, "PYTHONPATH": str(Path(holdlab.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "holdlab.cli", *argv, "--out", str(tmp_path / "t1.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr == "error: worst relative L2 error nan exceeds 0.001\n"
 
     def test_huge_positions_keep_a_finite_error(self, tmp_path):
         # At const:1e300 both routes stay finite, but the plain L2 norms of

@@ -211,6 +211,30 @@ class TestPfOdeGenerate:
         b = flow_state(params, grid, 3)
         assert np.array_equal(a, b)
 
+    # Entries below 2**32 seed run i from row i of one uint32 array; a larger
+    # entry sends every run through sample_prior.
+    @pytest.mark.parametrize("runs", [1, 2, 513])
+    @pytest.mark.parametrize(
+        "chain, per_run",
+        [([0], False), ([2**32 - 1, 5], False), ([2**32], True), ([2**70, 3], True),
+         ([np.uint64(7)], False)],
+        ids=["0", "2^32-1,5", "2^32", "2^70,3", "uint64-7"],
+    )
+    def test_both_seed_routes_match_per_run_draws(self, monkeypatch, chain, per_run, runs):
+        params, fn, grid = TestColumnLayout.setup_case(2, FixedPerSample(seed=2), "quadratic", 2)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sample_prior(*args)
+
+        monkeypatch.setattr(sampler, "sample_prior", counted)
+        got = pf_ode_endpoints(params, fn, grid, rng_seed=chain, h=2, runs=runs)
+        want = rowmajor_endpoints(params, fn, grid, chain, 2, runs)
+        assert len(calls) == (runs if per_run else 0)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
     def test_int_seed_is_its_one_element_list(self):
         # An int seed s and [s] seed the same stream (s, i) for run i.
         params, fn, grid = TestColumnLayout.setup_case(3, FixedPerSample(seed=2), "quadratic", 2)
@@ -236,11 +260,26 @@ class TestPfOdeGenerate:
         assert abs(fit - slope) <= 0.3
 
 
-@pytest.mark.parametrize("make", [np.random.default_rng, np.random.PCG64],
-                         ids=["Generator", "BitGenerator"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        np.random.default_rng,
+        np.random.PCG64,
+        lambda s: [s + 0.5],
+        lambda s: [-s],
+        lambda s: [s, np.int64(-s)],
+        lambda s: [True],
+        lambda s: True,
+    ],
+    ids=["Generator", "BitGenerator", "float-entry", "negative-entry",
+         "negative-numpy-entry", "bool-entry", "bool"],
+)
 @pytest.mark.parametrize("entry", ["mc_loss", "sample_prior", "pf_ode_endpoints"])
 def test_seeded_entry_points_refuse_a_generator(entry, make):
     # The draw would advance the caller's generator: two calls would differ.
+    # An entry that is not a non-negative int is refused by the same rule:
+    # numpy would raise its own error for a float or a negative entry, and
+    # would seed the stream [1] from [True].
     params, pol = critically_damped_params(2), Marginalized()
     s0 = initial_covariance(params, pol)
     ds = Dataset(np.array([[1.0], [-1.0]]))
@@ -362,6 +401,28 @@ class TestBatchEndpoints:
         for run, step in failures:
             # The first score call of each step sees the step's start state.
             assert np.array_equal(batch[run], starts[per_step * step][run, :1])
+
+    def test_one_run_first_diverges_on_the_last_step(self):
+        # No run has failed before the last step, so the whole-batch maximum
+        # decides alone until then; on the last step it fails and the
+        # per-column check must freeze run 1 alone at its last good state.
+        params = critically_damped_params(2)
+        grid = TimeGrid(steps=100)
+        starts = []
+
+        def spike_last(u, t):
+            starts.append(np.array(u, copy=True))
+            out = np.zeros(np.shape(u)[:-1] + (2,))
+            if t == grid.t_end:
+                out[1] = 1e12
+            return out
+
+        got = pf_ode_endpoints(params, spike_last, grid, rng_seed=3, h=2, runs=3)
+        want = rowmajor_endpoints(params, spike_last, grid, 3, 2, 3)
+        assert got[2] == want[2] == [(1, grid.steps - 1)]
+        assert np.array_equal(got[1], [True, False, True])
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(got[0][1], starts[-2][1, :2])
 
     def test_memorization_weak_ordering(self):
         # Desk-scale endpoint property: memorized fraction is non-increasing
