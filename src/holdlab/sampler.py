@@ -104,8 +104,9 @@ def _prior_columns(params: HoldParams, h: int, chain: list, runs: int) -> np.nda
     from the stream [*chain, i].
 
     numpy seeds a list of ints below 2**32 with one uint32 word each, so
-    when every entry fits, row i of one uint32 array seeds the same stream
-    as chain + [i] and skips the per-entry conversion; a larger int takes
+    when every entry fits (run indices do: 2**32 runs would not fit in
+    memory), row i of one uint32 array seeds the same stream as
+    chain + [i] and skips the per-entry conversion; a larger int takes
     several words, and there each run goes through ``sample_prior``.
     """
     if all(entry < 2**32 for entry in chain):
