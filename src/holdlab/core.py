@@ -135,10 +135,10 @@ def _require_seed(rng_seed) -> list:
     """``rng_seed`` as a list for ``np.random.default_rng``: an int s gives
     [s], which seeds the same stream as s, and a sequence of ints its list.
     Every entry is a non-negative Python or numpy int; a bool, a float or a
-    negative entry is refused, and so are None (OS entropy), a Generator and
-    a BitGenerator (a draw would advance it), so every seeded draw is
-    deterministic given its seed."""
-    if isinstance(rng_seed, (list, tuple, np.ndarray)):
+    negative entry is refused, and so are None (OS entropy), a 0-d array, a
+    Generator and a BitGenerator (a draw would advance it), so every seeded
+    draw is deterministic given its seed."""
+    if isinstance(rng_seed, (list, tuple)) or np.ndim(rng_seed) > 0:
         chain = list(rng_seed)
     else:
         chain = [rng_seed]

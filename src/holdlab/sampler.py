@@ -145,6 +145,9 @@ def pf_ode_endpoints(
 
     Returns (positions (runs, h), ok mask (runs,), failures).
     """
+    for name, value in (("runs", runs), ("h", h)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     fmat = build_forward_matrix(params).entries
     gain = params.xi * params.l_inv
 

@@ -13,7 +13,8 @@ A log-weight at or below -708.4 is set to weight 0 without calling exp:
 exp of such a value is subnormal or 0, and numpy computes it by a path
 about 130 times slower than the normal one.  Near collapse many entries
 land there; a dropped weight is below 2.3e-308 next to the column maximum's
-1, so every normal weight keeps its bits.
+1, so it moves neither the sum of the weights nor the weighted sum of the
+centers.
 One kernel serves every order: at order 1 (the Ornstein-Uhlenbeck process)
 the mixture covariance is the scalar l_inv (1 - exp(-2 xi t)) and the same
 code gives the first-order empirical score.
@@ -31,18 +32,21 @@ are measured in the h data dimensions.
 
 Every mixture carries a leading time axis of length G: G = 1 for one time
 shared by the batch (the samplers), G = B for one time per row of a
-(B, n*h) batch (``mc_loss``).  The kernel has one path and works
-component-major.  The batch is whitened into (n*h, B) columns by
-``core._block_apply`` (at G = 1 one (n, n) @ (n, h*B) GEMM, with no copy
-when the batch is the transpose of C-contiguous columns, as the sampler
-passes it); the squared distances to the N whitened centers accumulate into
-an (N, B) array one coordinate row at a time, the log-weights are reduced
-over the component axis 0, and the mean sum_k w_k c~_k, one
-(r, N) @ (N, B/G) product per time, is subtracted from the first r rows of
-y and mapped back through W^T by the same block product.  Unreflected
-centers are built as (n*h, N) columns and held as their (N, n*h)
-transposes.  Results keep the row-major shapes: (B, n*h) scores, (B, N)
-responsibilities.
+(B, n*h) batch (``mc_loss``).  The kernel works component-major.  The
+batch is whitened into (n*h, B) columns by ``core._block_apply`` (at G = 1
+one (n, n) @ (n, h*B) GEMM, with no copy when the batch is the transpose of
+C-contiguous columns, as the sampler passes it); the squared distances to
+the N whitened centers accumulate into an (N, B) array one coordinate row
+at a time, and the log-weights are reduced over the component axis 0.  At
+G = 1 a row's (N, B) differences are one rank-2 GEMM against centers held
+next to a row of ones, equal to the subtraction bit for bit; at G = B they
+are a broadcast subtraction.  The weights e_k = exp(lw_k) stay
+unnormalized: sum_k e_k c~_k, one (r, N) @ (N, B/G) product per time, is
+divided by sum_k e_k (at G = 1 the ones row of the same product), and the
+(r, B) mean is subtracted from the first r rows of y and mapped back
+through W^T by the same block product.  Unreflected centers are built as
+(n*h, N) columns and held as their (N, n*h) transposes.  Results keep the
+row-major shapes: (B, n*h) scores, (B, N) responsibilities.
 
 The n x n pieces of a mixture come from a ``forward.schedule``;
 ``empirical_score_fn`` takes the schedule of a whole time grid, so a
@@ -134,6 +138,21 @@ class EmpiricalMixture:
     whiten: np.ndarray
     white_centers: np.ndarray
 
+    def __post_init__(self):
+        # At one shared time the centers are the first r rows of an
+        # (r + 1, N) array whose last row is ones, and white_centers is a
+        # (1, N, r) view of them.  Rows i and r are the left factor of row
+        # i's difference GEMM (``_row_differences``); all r + 1 rows give
+        # the weighted sum of the centers and the sum of the weights in one
+        # GEMM (``score_full``).
+        rows = None
+        if len(self.white_centers) == 1:
+            white = self.white_centers[0]
+            rows = np.ones((white.shape[1] + 1, white.shape[0]))
+            rows[:-1] = white.T
+            object.__setattr__(self, "white_centers", rows[:-1].T[None])
+        object.__setattr__(self, "_rows", rows)
+
     @property
     def n_components(self) -> int:
         return self.white_centers.shape[-2]
@@ -206,26 +225,48 @@ def _as_batch(mix: EmpiricalMixture, u) -> tuple[np.ndarray, bool]:
     return batch, single
 
 
+def _row_differences(mix: EmpiricalMixture, y: np.ndarray):
+    """For each coordinate row i the centers cover, the (N, B) differences
+    between row i of the whitened batch y and the centers, up to sign,
+    written into one buffer that each step reuses.
+
+    At one shared time row i's block is one rank-2 GEMM,
+    [c~_i | 1] (N, 2) @ [1; -y_i] (2, B).  Each entry c~_ik * 1 + 1 * -y_ib
+    sums two exact products, so BLAS rounds it once, with or without FMA,
+    and the block is -(y_i - c~_i) bit for bit.  A mixture at G = B times
+    subtracts its (r, N, G) transposed centers row by row.
+    """
+    rows, white = mix._rows, mix.white_centers
+    diff = np.empty((white.shape[-2], y.shape[1]))
+    if rows is None:
+        for y_row, c_row in zip(y, white.T):
+            np.subtract(y_row, c_row, out=diff)
+            yield diff
+        return
+    r = len(rows) - 1
+    right = np.empty((r, 2, y.shape[1]))
+    right[:, 0] = 1.0
+    np.negative(y[:r], out=right[:, 1])
+    for i, pair in enumerate(right):
+        # rows[i :: r - i] holds exactly rows i and r: a strided view.
+        np.matmul(rows[i :: r - i].T, pair, out=diff)
+        yield diff
+
+
 def _log_weights(mix: EmpiricalMixture, u):
     """(y, lw, m, single): the whitened batch as (n*h, B) columns, and the
     (N, B) log-weights less their column maxima m.
 
     lw[k, b] = -|y_b - c~_k|^2 / 2 - m_b over the whitened centers c~_k,
     summed one coordinate row at a time over the rows the centers cover
-    (``zip`` stops there); a row of the (r, N, G) transposed centers
-    broadcasts over the B columns.  lw + m leaves out -|rest|^2 / 2 of the
-    rows beyond them, which every component shares.
+    (``_row_differences``).  lw + m leaves out -|rest|^2 / 2 of the rows
+    beyond them, which every component shares.
     """
     batch, single = _as_batch(mix, u)
-    white = mix.white_centers
     y = _block_apply(mix.whiten, batch.T)
-    lw = np.empty((white.shape[-2], len(batch)))
-    diff = np.empty_like(lw)
-    rows = zip(y, white.T)
-    np.subtract(*next(rows), out=lw)
-    lw *= lw
-    for y_row, c_row in rows:
-        np.subtract(y_row, c_row, out=diff)
+    diffs = _row_differences(mix, y)
+    lw = np.square(next(diffs))
+    for diff in diffs:
         diff *= diff
         lw += diff
     lw *= -0.5
@@ -234,17 +275,26 @@ def _log_weights(mix: EmpiricalMixture, u):
     return y, lw, m, single
 
 
-def _weights(lw: np.ndarray) -> np.ndarray:
-    """Normalized exp(lw) over axis 0.
+def _exp_weights(lw: np.ndarray) -> np.ndarray:
+    """Unnormalized weights exp(lw).
 
     exp runs only where lw is above _EXP_ZERO, or NaN; the other entries,
-    whose exp is below the smallest normal float, are 0.  Every other weight
-    equals plain exp normalisation bit for bit: each column holds its
-    maximum as lw = 0, so the normalising sum is at least 1 and a
-    subnormal term cannot move it.
+    whose exp is below the smallest normal float, are 0.  Each column of
+    ``_log_weights`` holds its maximum as lw = 0, so its sum is at least 1
+    and a dropped subnormal term cannot move it, nor any weighted sum of
+    normal-sized terms.  The test reads not (lw <= _EXP_ZERO), so a NaN
+    log-weight gives a NaN weight and spoils its column's sums quietly,
+    where lw > _EXP_ZERO would drop it as 0.
     """
-    w = np.zeros(lw.shape)
-    np.exp(lw, out=w, where=~(lw <= _EXP_ZERO))
+    e = np.zeros(lw.shape)
+    np.exp(lw, out=e, where=~(lw <= _EXP_ZERO))
+    return e
+
+
+def _weights(lw: np.ndarray) -> np.ndarray:
+    """Normalized exp(lw) over axis 0; every weight above _EXP_ZERO equals
+    plain exp normalisation bit for bit (see ``_exp_weights``)."""
+    w = _exp_weights(lw)
     w /= w.sum(axis=0)
     return w
 
@@ -269,15 +319,27 @@ def score_full(mix: EmpiricalMixture, u) -> np.ndarray:
 
     Equals Sigma_t^{-1} (sum_k w_k c_k - u) with responsibilities w, taken
     as -(W^T x I_h)(y - sum_k w_k c~_k) from the whitened point y and
-    whitened centers c~_k; the mean is subtracted in place from the rows
-    the centers cover, and negating W^T keeps the bits of W^T (mean - y).
+    whitened centers c~_k.  The weights stay unnormalized, e_k = exp(lw_k),
+    and only the (r, B) mean is divided by sum_k e_k: at one shared time
+    the (r + 1, N) centers-and-ones rows give sum_k e_k c~_k and sum_k e_k
+    in one GEMM; at G = B times one (r, N) @ (N, 1) product per time gives
+    the numerators and ones(N) @ e the sums.  The mean is subtracted in
+    place from the rows the centers cover, and negating W^T keeps the bits
+    of W^T (mean - y).
     """
     y, lw, _, single = _log_weights(mix, u)
-    w = _weights(lw)
+    e = _exp_weights(lw)
     white = mix.white_centers
     times, n_comp, r = white.shape
-    mean = white.swapaxes(-1, -2) @ w.reshape(n_comp, times, -1).swapaxes(0, 1)
-    y[:r] -= mean.swapaxes(0, 1).reshape(r, -1)
+    if mix._rows is None:
+        mean = white.swapaxes(-1, -2) @ e.reshape(n_comp, times, -1).swapaxes(0, 1)
+        mean = mean.swapaxes(0, 1).reshape(r, -1)
+        mean /= np.ones(n_comp) @ e
+    else:
+        sums = mix._rows @ e
+        mean = sums[:r]
+        mean /= sums[r]
+    y[:r] -= mean
     out = _block_apply(-mix.whiten.swapaxes(-1, -2), y).T
     return out[0] if single else out
 

@@ -270,16 +270,17 @@ class TestPfOdeGenerate:
         lambda s: [s, np.int64(-s)],
         lambda s: [True],
         lambda s: True,
+        np.array,
     ],
     ids=["Generator", "BitGenerator", "float-entry", "negative-entry",
-         "negative-numpy-entry", "bool-entry", "bool"],
+         "negative-numpy-entry", "bool-entry", "bool", "0-d-array"],
 )
 @pytest.mark.parametrize("entry", ["mc_loss", "sample_prior", "pf_ode_endpoints"])
 def test_seeded_entry_points_refuse_a_generator(entry, make):
     # The draw would advance the caller's generator: two calls would differ.
     # An entry that is not a non-negative int is refused by the same rule:
     # numpy would raise its own error for a float or a negative entry, and
-    # would seed the stream [1] from [True].
+    # would seed the stream [1] from [True]; a 0-d array is not a sequence.
     params, pol = critically_damped_params(2), Marginalized()
     s0 = initial_covariance(params, pol)
     ds = Dataset(np.array([[1.0], [-1.0]]))
@@ -362,6 +363,22 @@ class TestBatchEndpoints:
                 rng_seed=1, h=1, runs=2, method="heun",
             )
         assert "method" not in inspect.signature(sampler._integrate).parameters
+
+    @pytest.mark.parametrize(
+        "name, runs, h", [("runs", 0, 1), ("runs", -1, 1), ("h", 2, 0), ("h", 2, -1)]
+    )
+    def test_empty_batch_refused_before_any_draw(self, monkeypatch, name, runs, h):
+        monkeypatch.setattr(sampler, "_prior_columns", None)  # never reached
+        monkeypatch.setattr(sampler, "sample_prior", None)
+
+        def no_score(u, t):
+            raise AssertionError("score called")
+
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {min(runs, h)}$"):
+            pf_ode_endpoints(
+                critically_damped_params(2), no_score, TimeGrid(steps=2),
+                rng_seed=1, h=h, runs=runs,
+            )
 
     def test_failures_reported_and_frozen(self):
         params = critically_damped_params(2)

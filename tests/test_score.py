@@ -751,11 +751,18 @@ def direct_kernel(ref, batch):
     lw = -0.5 * sq
     m = lw.max(axis=0)
     lw -= m
-    w = score_module._weights(lw)
+    # The unnormalized weights e make the weighted sum, and the (r, B) mean
+    # is that sum over sum_k e_k: at a shared time both come from one GEMM
+    # with the centers and a row of ones.
+    e, w = score_module._exp_weights(lw), score_module._weights(lw)
     logp = m + np.log(np.exp(lw).sum(axis=0))
     inv_t = ref.chol_inv.swapaxes(-1, -2)
-    mean = white.swapaxes(-1, -2) @ w.reshape(n_comp, times, -1).swapaxes(0, 1)
-    mean = mean.swapaxes(0, 1).reshape(r, -1)
+    if times == 1:
+        sums = np.vstack([white[0].T, np.ones(n_comp)]) @ e
+        mean = sums[:r] / sums[r]
+    else:
+        mean = white.swapaxes(-1, -2) @ e.reshape(n_comp, times, -1).swapaxes(0, 1)
+        mean = mean.swapaxes(0, 1).reshape(r, -1) / (np.ones(n_comp) @ e)
     score = score_module._block_apply(inv_t, mean - y).T
     mean = mean.T
     scale = np.linalg.norm(kron_apply(inv_t, mean, h), axis=1) + np.linalg.norm(
@@ -1061,11 +1068,12 @@ def band_probes(mix, rng, anchors, gaps):
 
 
 class TestScoreSkipsSubnormalWeights:
-    """``score_full`` through ``_weights`` equals ``score_full`` with plain
-    exp weights bit for bit, on batches whose log-weights crowd the band
-    (-746, -708.4] where exp is subnormal: a dropped weight is below
-    2.3e-308 next to the column maximum's 1, and its term w_k c~_k is far
-    below an ulp of the whitened mean and point.
+    """``score_full`` through ``_exp_weights`` equals ``score_full`` with
+    plain exp weights bit for bit, on batches whose log-weights crowd the
+    band (-746, -708.4] where exp is subnormal: a dropped weight is below
+    2.3e-308 next to the column maximum's 1, so it moves neither the sum of
+    the weights nor, since its term e_k c~_k is far below an ulp of it, the
+    weighted sum of the centers.
 
     Each dataset is a random 4-point set in R^3 scaled so that its whitened
     centers are about 40 apart at the given time (squared distances near
@@ -1097,7 +1105,150 @@ class TestScoreSkipsSubnormalWeights:
             crowded += band.sum()
             got = score_full(mix, u)
             with monkeypatch.context() as patch:
-                patch.setattr(score_module, "_weights", plain_weights)
+                patch.setattr(score_module, "_exp_weights", np.exp)
                 want = score_full(mix, u)
             assert got.tobytes() == want.tobytes()
         assert crowded >= 0.4 * (4 * 64 * 3)  # of the off-anchor weights
+
+
+def two_pass_score(mix, u):
+    """``score_full`` as it was before the weights stayed unnormalized:
+    normalized weights w_k = e_k / sum_j e_j, then the mean sum_k w_k c~_k.
+    Returns (score, scale), scale_b = |(W^T x I_h) mean_b| + |(W^T x I_h) y_b|,
+    the two terms whose difference is the score, before they cancel."""
+    y, lw, _, _ = score_module._log_weights(mix, u)
+    w = score_module._weights(lw)
+    white = mix.white_centers
+    times, n_comp, r = white.shape
+    mean = white.swapaxes(-1, -2) @ w.reshape(n_comp, times, -1).swapaxes(0, 1)
+    mean = mean.swapaxes(0, 1).reshape(r, -1)
+    back = -mix.whiten.swapaxes(-1, -2)
+    scale = np.linalg.norm(score_module._block_apply(back, y), axis=0)
+    y[:r] -= mean
+    full = np.zeros_like(y)
+    full[:r] = mean
+    scale += np.linalg.norm(score_module._block_apply(back, full), axis=0)
+    return score_module._block_apply(back, y).T, scale
+
+
+class TestRowDifferenceGemm:
+    """At one shared time row i's (N, B) differences are the rank-2 GEMM
+    [c~_i | 1] @ [1; -y_i]: each entry sums two exact products and is
+    rounded once, so it equals -(y_i - c~_i) bit for bit, at B = 1 (where
+    BLAS may take its GEMV route) as at any other width, for huge and
+    tiny magnitudes (a difference of one ulp near 1e-300 is subnormal),
+    and for infinite and NaN points."""
+
+    @pytest.mark.parametrize("batch", [1, 24, 512])
+    @pytest.mark.parametrize("n_comp", [1, 8, 256])
+    def test_equals_the_subtraction(self, n_comp, batch):
+        rng = np.random.default_rng([n_comp, batch])
+        r = 3
+        for c_scale, y_scale in [(1e8, 1e8), (1e-300, 1e-300), (1e8, 1e-300), (1e-300, 1e8)]:
+            white = c_scale * rng.standard_normal((1, n_comp, r))
+            mix = EmpiricalMixture(r, 1, np.eye(r)[None], white)
+            y = y_scale * rng.standard_normal((r, batch))
+            y[:, -1] = np.nextafter(white[0, 0], np.inf)  # one ulp from center 0
+            y[0, batch // 2] = white[0, -1, 0]
+            y[0, 0], y[1, -1], y[2, batch // 2] = np.inf, -np.inf, np.nan
+            got = [d.copy() for d in score_module._row_differences(mix, y)]
+            assert len(got) == r
+            for i, block in enumerate(got):
+                want = np.subtract(y[i], white[0, :, i, None])
+                assert np.array_equal(-block, want, equal_nan=True)
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(block), nan)
+                assert (block * block)[~nan].tobytes() == (want * want)[~nan].tobytes()
+            if c_scale == y_scale == 1e-300 and batch > 1:
+                tiny = np.finfo(float).tiny
+                assert 0 < np.abs(got[0][0, -1]) < tiny  # subnormal, not flushed
+
+    def test_stacked_times_subtract(self):
+        # G = B mixtures keep the plain subtraction: their center rows are
+        # already (N, B).
+        mix, *_ = make_mixture(n=2, h=1, t=np.array([0.1, 0.2, 0.3]))
+        assert mix._rows is None and len(mix.white_centers) == 3
+        shared, *_ = make_mixture(n=2, h=1, t=0.1)
+        assert shared._rows.shape == (2, 2) and np.all(shared._rows[-1] == 1.0)
+        assert np.shares_memory(shared.white_centers, shared._rows)
+
+
+class TestNonFiniteRows:
+    """A NaN or infinite point spoils its own row and no other, in the
+    kernel and in the sampler, which freezes exactly those runs."""
+
+    def test_score_full_rows(self):
+        ds, params, s0, pol = criterion07_setup(3)
+        mix = mixture_at(ds, params, s0, pol, 0.1)
+        u = np.random.default_rng(21).standard_normal((16, 6))
+        bad = u.copy()
+        bad[3, 1], bad[7, 0] = np.nan, np.inf
+        with np.errstate(invalid="ignore"):
+            got = score_full(mix, bad)
+            w = responsibilities(mix, bad)
+        assert np.array_equal(np.flatnonzero(~np.isfinite(got).all(axis=1)), [3, 7])
+        assert np.array_equal(np.flatnonzero(np.isnan(w).any(axis=1)), [3, 7])
+        keep = np.setdiff1d(np.arange(16), [3, 7])
+        assert score_full(mix, u)[keep].tobytes() == got[keep].tobytes()
+
+    def test_sampler_freezes_those_runs(self):
+        ds, params, s0, pol = criterion07_setup(3)
+        grid = TimeGrid(steps=40)
+        sched = schedule(params, s0, grid.times())
+        fn = empirical_score_fn(ds, params, s0, pol, schedule=sched)
+        t_bad = float(grid.times()[10])
+        seen = []
+
+        def spoiled(u, t):
+            # The second call at t_bad is step 10's first: its start state.
+            seen.extend([np.array(u, copy=True)] if t == t_bad else [])
+            if len(seen) == 2 and t == t_bad:
+                u = u.copy()
+                u[1, 0], u[4, 2] = np.nan, np.inf
+            return fn(u, t)
+
+        with np.errstate(invalid="ignore"):
+            got, ok, failures = pf_ode_endpoints(params, spoiled, grid, rng_seed=5, h=2, runs=6)
+        want, want_ok, _ = pf_ode_endpoints(params, fn, grid, rng_seed=5, h=2, runs=6)
+        assert want_ok.all() and failures == [(1, 10), (4, 10)]
+        assert np.array_equal(ok, [True, False, True, True, False, True])
+        assert got[ok].tobytes() == want[ok].tobytes()
+        assert np.array_equal(got[~ok], seen[1][~ok, :2])
+
+
+class TestPostMeanNormalization:
+    """``score_full`` divides the weighted sum of the centers by the sum of
+    the unnormalized weights, where the form before it normalized the
+    weights and then took the mean (``two_pass_score``).  Only rounding
+    differs: measured over the grid below, 1183 of 7680 rows differ, by at
+    most 6.7e-16 relative to the scale of ``TestComponentMajorKernel``, so
+    the bound is 1e-14, as there.  A row with one component, or whose
+    weights are one-hot (4622 rows), has sum 1 either way and must be equal
+    to the bit."""
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "stacked"])
+    @pytest.mark.parametrize("policy", [FixedPerSample(seed=3), Marginalized()])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_two_pass_form(self, n, policy, shared):
+        params = _order_params(n)
+        s0 = initial_covariance(params, policy)
+        batch, one_hot_rows = 40, 0
+        for n_train in (1, 8, 256):
+            rng = np.random.default_rng([n, n_train, int(shared)])
+            ds = Dataset(3.0 * rng.standard_normal((n_train, 2)))
+            for t in (1e-3, 1e-2, 1.0, 10.0):
+                times = t if shared else t * rng.uniform(0.5, 2.0, size=batch)
+                mix = mixture_at(ds, params, s0, policy, times)
+                ref = pieces(ds, params, s0, policy, times)
+                rows = 0 if shared else np.arange(batch)
+                pick = rng.integers(n_train, size=batch)
+                eps = rng.standard_normal((batch, 2 * n))
+                u = ref.centers[rows, pick] + kron_apply(ref.chol, eps, 2)
+                got = score_full(mix, u)
+                want, scale = two_pass_score(mix, u)
+                assert (np.linalg.norm(got - want, axis=1) / scale).max() <= 1e-14
+                _, lw, _, _ = score_module._log_weights(mix, u)
+                exact = (score_module._exp_weights(lw) > 0).sum(axis=0) == 1
+                one_hot_rows += exact.sum()
+                assert got[exact].tobytes() == want[exact].tobytes()
+        assert one_hot_rows >= batch * 4  # every single-component row at least
